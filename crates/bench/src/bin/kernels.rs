@@ -119,7 +119,10 @@ fn training_sample(seed: u64, grid: u32) -> Sample {
 }
 
 fn main() {
-    let args = HarnessArgs::from_env();
+    let args = HarnessArgs::from_env_with(concat!(
+        "  --threads N   compute threads of the N-thread columns (default min(host, 4), at least 2)\n",
+        "  --simd on|off SIMD lane path of the main columns (default on)\n",
+    ));
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let threads = raw
         .windows(2)

@@ -24,8 +24,9 @@ use lhnn_baselines::BaselineTrainConfig;
 use lhnn_data::{DatasetConfig, ExperimentConfig};
 
 /// Usage text for a harness binary: the flags [`HarnessArgs::parse`]
-/// understands (binaries may accept further flags of their own).
-pub fn usage(binary: &str) -> String {
+/// understands, then `extra_options` — the binary's own flags, one
+/// newline-terminated line each — before `--help`.
+pub fn usage(binary: &str, extra_options: &str) -> String {
     format!(
         "\
 {binary} — LHNN evaluation harness binary
@@ -38,7 +39,7 @@ OPTIONS:
   --epochs N    training epochs for all models (default 150)
   --seeds N     number of random seeds (default 5)
   --out DIR     output directory for CSV/PGM results (default results/)
-  -h, --help    print this help and exit"
+{extra_options}  -h, --help    print this help and exit"
     )
 }
 
@@ -101,6 +102,13 @@ impl HarnessArgs {
     /// harness binary supports a cheap smoke invocation that never starts
     /// the (expensive) experiment protocol.
     pub fn from_env() -> Self {
+        Self::from_env_with("")
+    }
+
+    /// [`HarnessArgs::from_env`] for a binary with flags of its own:
+    /// `extra_options` (one `  --flag ARG  description` line each, newline
+    /// terminated) joins the `--help` text.
+    pub fn from_env_with(extra_options: &str) -> Self {
         let mut args = std::env::args();
         let binary = args
             .next()
@@ -112,7 +120,7 @@ impl HarnessArgs {
             .unwrap_or_else(|| "lhnn-bench".into());
         let args: Vec<String> = args.collect();
         if args.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{}", usage(&binary));
+            println!("{}", usage(&binary, extra_options));
             std::process::exit(0);
         }
         Self::parse(&args)

@@ -4,20 +4,21 @@
 
 use std::process::Command;
 
-fn assert_help(exe: &str, binary_name: &str) {
+fn assert_help(exe: &str, binary_name: &str) -> String {
     let out = Command::new(exe).arg("--help").output().expect("spawn harness binary");
     assert!(out.status.success(), "{binary_name} --help failed: {:?}", out.status);
-    let text = String::from_utf8_lossy(&out.stdout);
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(text.contains("USAGE"), "{binary_name}: no usage text:\n{text}");
     assert!(text.contains(binary_name), "{binary_name}: usage lacks binary name:\n{text}");
     assert!(text.contains("--scale"), "{binary_name}: usage lacks shared flags:\n{text}");
+    text
 }
 
 macro_rules! help_smoke {
     ($($test:ident => $env:literal / $name:literal;)*) => {$(
         #[test]
         fn $test() {
-            assert_help(env!($env), $name);
+            let _ = assert_help(env!($env), $name);
         }
     )*};
 }
@@ -31,5 +32,12 @@ help_smoke! {
     fanout_ablation_prints_help => "CARGO_BIN_EXE_fanout_ablation" / "fanout_ablation";
     scaling_prints_help => "CARGO_BIN_EXE_scaling" / "scaling";
     serving_prints_help => "CARGO_BIN_EXE_serving" / "serving";
-    kernels_prints_help => "CARGO_BIN_EXE_kernels" / "kernels";
+}
+
+#[test]
+fn kernels_prints_help() {
+    let text = assert_help(env!("CARGO_BIN_EXE_kernels"), "kernels");
+    for flag in ["--threads N", "--simd on|off"] {
+        assert!(text.contains(flag), "kernels: usage lacks its own {flag} flag:\n{text}");
+    }
 }

@@ -1231,7 +1231,7 @@ fn loop_bench_concurrent(args: &Args, designs_n: usize) -> CmdResult {
     println!("engine stats: {stats}");
     for s in &stats.per_shard {
         println!(
-            "  shard {}: {} workers, {} requests, {} forwards, {} cache hits, {} worker-applied \
+            "  shard {}: {} workers, {} requests, {} forwards, {} cache hits, {} session \
              updates, p99 {:.2} ms",
             s.shard,
             s.workers,

@@ -25,8 +25,7 @@
 
 use std::sync::Arc;
 
-use lh_graph::halo::{dilate, union_sorted};
-use lh_graph::{ChannelMode, FeatureSet};
+use lh_graph::{halo, ChannelMode, FeatureSet};
 use neurograd::{kernels, stable_sigmoid, Activation, Linear, Matrix, ParamStore, ResBlock, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -622,8 +621,7 @@ fn refresh(
         let pg: &Matrix = if i == 0 { g0 } else { &done[i - 1].v };
         blk.res.forward_rows_into(store, pg, &dc, sc_c, sy_c, &mut la.h);
         if grow {
-            dc = dilate_t
-                .time(|| union_sorted(&dc, &dilate(ops.lattice_mean.transpose_cached(), &dc)));
+            dc = dilate_t.time(|| halo::grow(&ops.lattice_mean, &dc, &dc));
         }
         kernels::spmm_rows_into(&ops.lattice_mean, &la.h, &dc, la.msg.as_mut_slice());
         blk.lin.forward_rows_into(store, &la.msg, &dc, &mut la.lin_out);
@@ -641,7 +639,7 @@ fn refresh(
     // ---- Topology branch ----
     model.topo_lift.forward_rows_into(store, &features.gnet, &dn, sc_n, sy_n, t_n);
     if grow {
-        dc = dilate_t.time(|| union_sorted(&dc, &dilate(ops.gnc_mean.transpose_cached(), &dn)));
+        dc = dilate_t.time(|| halo::grow(&ops.gnc_mean, &dn, &dc));
     }
     kernels::spmm_rows_into(&ops.gnc_mean, t_n, &dc, agg_t.as_mut_slice());
     model.topo_in.forward_rows_into(store, agg_t, &dc, t0);
@@ -651,12 +649,12 @@ fn refresh(
         let pt: &Matrix = if i == 0 { t0 } else { &done[i - 1].v };
         round.res_c.forward_rows_into(store, pt, &dc, sc_c, sy_c, &mut la.hc);
         if grow {
-            dn = dilate_t.time(|| union_sorted(&dn, &dilate(ops.gcn_mean.transpose_cached(), &dc)));
+            dn = dilate_t.time(|| halo::grow(&ops.gcn_mean, &dc, &dn));
         }
         kernels::spmm_rows_into(&ops.gcn_mean, &la.hc, &dn, la.m_n.as_mut_slice());
         round.lin_n.forward_rows_into(store, &la.m_n, &dn, &mut la.hn);
         if grow {
-            dc = dilate_t.time(|| union_sorted(&dc, &dilate(ops.gnc_mean.transpose_cached(), &dn)));
+            dc = dilate_t.time(|| halo::grow(&ops.gnc_mean, &dn, &dc));
         }
         kernels::spmm_rows_into(&ops.gnc_mean, &la.hn, &dc, la.m_c.as_mut_slice());
         round.lin_c.forward_rows_into(store, &la.m_c, &dc, &mut la.lin_out);

@@ -22,10 +22,18 @@
 //! fixed sequence of float operations, so recomputing any superset of the
 //! truly-changed rows yields a state **bitwise identical** to a full
 //! forward — at any thread count (proptest-enforced in
-//! `tests/incremental_forward.rs`). The halo is dilated through each
-//! operator's own cached transpose rather than a structurally "dual"
-//! sibling, because ablated/sampled operator sets replace matrices
-//! asymmetrically.
+//! `tests/incremental_forward.rs`).
+//!
+//! Each hop grows the halo with [`lh_graph::halo::grow`]: it flags the
+//! dirty input rows and sweeps the aggregating operator's own rows once,
+//! keeping every output row that is already dirty or reads a flagged row.
+//! Row `r` of `S` reads row `c` exactly when `Sᵀ` lists `r` in row `c`,
+//! so this is the same set a dilation through the transpose yields — but
+//! it needs no transpose, which matters because every placement delta
+//! patches `gnc_sum`/`gnc_mean`/`gcn_mean` into fresh matrices whose
+//! transpose caches start empty. It reads the operator the aggregation
+//! actually uses rather than a structurally "dual" sibling, because
+//! ablated/sampled operator sets replace matrices asymmetrically.
 //!
 //! # Invalidation protocol
 //!
@@ -52,8 +60,8 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use lh_graph::halo::{dilate, union_sorted};
-use lh_graph::{halo, FeatureSet};
+use lh_graph::halo::{self, union_sorted};
+use lh_graph::FeatureSet;
 use lhnn_obs::{Counter, Histogram, Registry};
 use neurograd::{kernels, stable_sigmoid, Matrix};
 
@@ -468,7 +476,7 @@ fn refresh(
 
     // ---- FeatureGen (Eq. 1–2): one H hop from G-nets onto G-cells ----
     if grow {
-        dc = dilate_t.time(|| union_sorted(&dc, &dilate(ops.gnc_sum.transpose_cached(), &dn)));
+        dc = dilate_t.time(|| halo::grow(&ops.gnc_sum, &dn, &dc));
     }
     model.featuregen.f_n.forward_rows_into(store, &features.gnet, &dn, sc_n, sy_n, fn_);
     model.featuregen.f_c.forward_rows_into(store, &features.gcell, &dc, sc_c, sy_c, fc);
@@ -485,7 +493,7 @@ fn refresh(
             if i == 0 { (v_c1, v_n1) } else { (&done[i - 1].v_c, &done[i - 1].v_n) };
         block.res_c_in.forward_rows_into(store, pc, &dc, sc_c, sy_c, &mut la.hc);
         if grow {
-            dn = dilate_t.time(|| union_sorted(&dn, &dilate(ops.gcn_mean.transpose_cached(), &dc)));
+            dn = dilate_t.time(|| halo::grow(&ops.gcn_mean, &dc, &dn));
         }
         kernels::spmm_rows_into(&ops.gcn_mean, &la.hc, &dn, la.msg_n.as_mut_slice());
         kernels::concat_rows_into(&la.msg_n, v_n1, &dn, la.cat_n.as_mut_slice());
@@ -501,7 +509,7 @@ fn refresh(
         );
         block.res_n_in.forward_rows_into(store, &la.v_n, &dn, sc_n, sy_n, &mut la.hn);
         if grow {
-            dc = dilate_t.time(|| union_sorted(&dc, &dilate(ops.gnc_mean.transpose_cached(), &dn)));
+            dc = dilate_t.time(|| halo::grow(&ops.gnc_mean, &dn, &dc));
         }
         kernels::spmm_rows_into(&ops.gnc_mean, &la.hn, &dc, la.msg_c.as_mut_slice());
         kernels::concat_rows_into(&la.msg_c, v_c1, &dc, la.cat_c.as_mut_slice());
@@ -528,8 +536,7 @@ fn refresh(
         let pc: &Matrix = if i == 0 { last_hyper_c } else { &done[i - 1].v_c };
         block.res.forward_rows_into(store, pc, &dc, sc_c, sy_c, &mut la.h);
         if grow {
-            dc = dilate_t
-                .time(|| union_sorted(&dc, &dilate(ops.lattice_mean.transpose_cached(), &dc)));
+            dc = dilate_t.time(|| halo::grow(&ops.lattice_mean, &dc, &dc));
         }
         kernels::spmm_rows_into(&ops.lattice_mean, &la.h, &dc, la.msg.as_mut_slice());
         block.lin.forward_rows_into(store, &la.msg, &dc, &mut la.lin_out);

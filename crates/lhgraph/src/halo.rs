@@ -8,13 +8,19 @@
 //! layers). This module provides the primitive set algebra for tracking
 //! that influence exactly:
 //!
-//! * [`dilate`] — one structural hop: the union of column indices of the
-//!   listed rows of a CSR matrix. For an aggregation `y = S·x`, the rows of
-//!   `y` that can read a dirty row of `x` are `{r : row r of S hits a dirty
-//!   column}` — exactly `dilate(Sᵀ, dirty)`. Callers pass the operator's own
-//!   cached transpose (`CsrMatrix::transpose_cached`) rather than a
-//!   structurally dual sibling, because ablated or sampled operator sets
-//!   replace matrices asymmetrically and the siblings stop matching.
+//! * [`grow`] — one structural hop through an aggregation `y = S·x`, as
+//!   the splice path takes it: the dirty output rows `keep` plus every
+//!   row of `S` that reads a dirty input row. It marks the dirty inputs
+//!   in a flag vector and sweeps the rows of `S` itself once, so it needs
+//!   no transpose, no sort and no merge, and it reads the operator that
+//!   the aggregation actually uses — ablated or sampled operator sets
+//!   replace matrices asymmetrically, so a structurally "dual" sibling
+//!   would not do.
+//! * [`dilate`] — the same hop seen from the other side: the union of
+//!   column indices of the listed rows of a CSR matrix. Row `r` of `S`
+//!   reads column `c` exactly when row `c` of `Sᵀ` lists `r`, so
+//!   `grow(S, d, k) == union_sorted(k, &dilate(&Sᵀ, d))` — the oracle
+//!   the tests below check.
 //! * [`union_sorted`] — merge two sorted dirty sets.
 //!
 //! All row lists are sorted and duplicate-free, the form the masked
@@ -24,12 +30,46 @@
 
 use neurograd::CsrMatrix;
 
+/// One structural hop through the aggregation `y = S·x`: the sorted,
+/// duplicate-free union of `keep` and every row of `s` that reads a
+/// column listed in `from`.
+///
+/// With `from` the dirty input rows and `keep` the output rows already
+/// dirty, this is exactly the set of output rows whose value can change.
+/// It equals `union_sorted(keep, &dilate(&s.transpose(), from))`, but
+/// marks `from` and sweeps the rows of `s` once instead of building the
+/// transpose: rows come out in order, each at most once.
+///
+/// # Panics
+///
+/// Panics if a listed column is out of bounds for `s`.
+pub fn grow(s: &CsrMatrix, from: &[usize], keep: &[usize]) -> Vec<usize> {
+    if from.is_empty() {
+        return keep.to_vec();
+    }
+    let mut marked = vec![false; s.cols()];
+    for &c in from {
+        assert!(c < s.cols(), "grow: column {} out of bounds for {}x{}", c, s.rows(), s.cols());
+        marked[c] = true;
+    }
+    let mut out = Vec::with_capacity(keep.len() + from.len());
+    let mut kept = keep.iter().copied().peekable();
+    for r in 0..s.rows() {
+        if kept.next_if_eq(&r).is_some() || s.row_slices(r).0.iter().any(|&c| marked[c]) {
+            out.push(r);
+        }
+    }
+    out.extend(kept);
+    out
+}
+
 /// One structural hop: the sorted, duplicate-free union of the column
 /// indices of the listed rows of `m`.
 ///
 /// For a sparse aggregation `y = S·x` with dirty input rows `d`, the
-/// output rows whose value can change are exactly
-/// `dilate(Sᵀ, d) ∪ changed_rows(S)` — pass `S.transpose_cached()` as `m`.
+/// output rows that read a dirty row are exactly `dilate(Sᵀ, d)`; the
+/// splice path computes the same set with [`grow`], which needs no
+/// transpose.
 ///
 /// # Panics
 ///
@@ -105,6 +145,60 @@ mod tests {
         assert_eq!(dilate(&m, &[5]), vec![4], "boundary row clips");
         assert_eq!(dilate(&m, &[1, 4]), vec![0, 2, 3, 5]);
         assert!(dilate(&m, &[]).is_empty());
+    }
+
+    #[test]
+    fn grow_is_one_hop_without_a_transpose() {
+        let m = chain(6);
+        assert_eq!(grow(&m, &[2], &[]), vec![1, 3]);
+        assert_eq!(grow(&m, &[2], &[2]), vec![1, 2, 3]);
+        assert_eq!(grow(&m, &[0], &[5]), vec![1, 5], "boundary row clips");
+        assert_eq!(grow(&m, &[], &[4]), vec![4]);
+        assert!(grow(&m, &[], &[]).is_empty());
+        assert!(!m.transpose_cache_warm(), "grow must not build the transpose");
+    }
+
+    /// A `rows × cols` pattern from sampled `(row, col)` codes; empty rows
+    /// and empty columns arise whenever no code lands on them.
+    fn sampled(rows: usize, cols: usize, codes: &[(usize, usize)]) -> CsrMatrix {
+        let t: Vec<(usize, usize, f32)> =
+            codes.iter().map(|&(r, c)| (r % rows, c % cols, 1.0)).collect();
+        CsrMatrix::from_triplets(rows, cols, &t)
+    }
+
+    /// An index set over `0..n`: empty, full, or the sampled bits.
+    fn sampled_set(n: usize, mode: u8, bits: &[u8]) -> Vec<usize> {
+        match mode {
+            0 => Vec::new(),
+            1 => (0..n).collect(),
+            _ => (0..n).filter(|&i| bits[i % bits.len()] & (1 << (i % 8)) != 0).collect(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `grow` agrees with the transpose-based hop it replaces on
+        /// rectangular patterns, including empty rows, empty and full
+        /// sets, `keep == from` and `keep` rows past the last row of `s`.
+        #[test]
+        fn grow_matches_dilate_of_the_transpose(
+            rows in 1usize..12,
+            cols in 1usize..12,
+            codes in proptest::collection::vec((0usize..12, 0usize..12), 0..40),
+            from_mode in 0u8..4,
+            keep_mode in 0u8..5,
+            from_bits in proptest::collection::vec(0u8..=255, 1..4),
+            keep_bits in proptest::collection::vec(0u8..=255, 1..4),
+        ) {
+            let s = sampled(rows, cols, &codes);
+            let from = sampled_set(cols, from_mode, &from_bits);
+            let keep =
+                if keep_mode == 4 { from.clone() } else { sampled_set(rows, keep_mode, &keep_bits) };
+            let oracle = union_sorted(&keep, &dilate(&s.transpose(), &from));
+            let entries: Vec<_> = s.iter().collect();
+            proptest::prop_assert_eq!(grow(&s, &from, &keep), oracle, "s = {:?}", entries);
+        }
     }
 
     #[test]

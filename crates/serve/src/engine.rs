@@ -48,7 +48,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::AtomicU64;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -293,6 +293,26 @@ pub(crate) struct Shared {
     /// invalidate activation caches that the new architecture cannot
     /// splice against; dead weaks are pruned on each walk.
     session_incrs: Mutex<Vec<(String, std::sync::Weak<IncrementalForward>)>>,
+}
+
+/// Counts one session's applied deltas, whichever thread drains them — a
+/// shard worker or the session's own caller — in the shard's exact
+/// [`ServeStats::session_updates`] and the engine's
+/// `lhnn_session_updates_total`. Weak, so a drain nudge queued on a shard
+/// never keeps the engine alive through the session it points at.
+pub(crate) struct UpdateCounter {
+    shared: Weak<Shared>,
+    shard: usize,
+}
+
+impl UpdateCounter {
+    /// Counts one applied delta (nothing once the engine is gone).
+    pub(crate) fn record(&self) {
+        if let Some(shared) = self.shared.upgrade() {
+            lock::recover(&shared.shards[self.shard].stats).record_session_updates(1);
+            shared.obs.session_updates.inc();
+        }
+    }
 }
 
 /// The engine: owns the sharded worker pool; hand out [`ServeHandle`]s to
@@ -709,6 +729,12 @@ impl ServeHandle {
         &self.shared.obs
     }
 
+    /// The counter a session pinned to `shard` records its applied deltas
+    /// through.
+    pub(crate) fn update_counter(&self, shard: usize) -> UpdateCounter {
+        UpdateCounter { shared: Arc::downgrade(&self.shared), shard }
+    }
+
     /// Enqueues a session-drain nudge on `shard_idx`, blocking on the
     /// shard's backpressure bound.
     pub(crate) fn enqueue_session(&self, shard_idx: usize, core: Arc<SessionCore>) -> Result<()> {
@@ -889,26 +915,18 @@ fn worker_loop(shared: &Shared, shard_idx: usize) {
                     // Non-blocking: parking this worker on one session's
                     // state mutex would head-of-line-block every other
                     // design on the shard (inline drains keep liveness).
-                    match core.service_nonblocking() {
-                        Some(applied) => {
-                            if applied > 0 {
-                                lock::recover(&shard.stats).record_session_updates(applied);
-                                shared.obs.session_updates.add(applied as u64);
-                            }
+                    if !core.service_nonblocking() {
+                        // Lock busy with deltas still pending: the holder
+                        // may not re-drain, so keep the nudge alive (we
+                        // just freed this queue slot, so no backpressure
+                        // wait) and let go of the CPU — the holder likely
+                        // needs it to finish.
+                        let mut q = lock::recover(&shard.queue);
+                        if !q.shutdown {
+                            q.jobs.push_back(Job::Session(core));
                         }
-                        None => {
-                            // Lock busy with deltas still pending: the
-                            // holder may not re-drain, so keep the nudge
-                            // alive (we just freed this queue slot, so no
-                            // backpressure wait) and let go of the CPU —
-                            // the holder likely needs it to finish.
-                            let mut q = lock::recover(&shard.queue);
-                            if !q.shutdown {
-                                q.jobs.push_back(Job::Session(core));
-                            }
-                            drop(q);
-                            std::thread::yield_now();
-                        }
+                        drop(q);
+                        std::thread::yield_now();
                     }
                     continue;
                 }

@@ -58,7 +58,7 @@ use lhnn::{
 use lhnn_obs::{FlightEventKind, FlightRecorder, Histogram};
 use vlsi_netlist::{Circuit, GcellGrid, Placement, PlacementDelta};
 
-use crate::engine::{PredictRequest, ServeHandle, ServeReply};
+use crate::engine::{PredictRequest, ServeHandle, ServeReply, UpdateCounter};
 use crate::error::{Result, ServeError};
 
 /// Options for [`ServeHandle::open_session`].
@@ -196,6 +196,8 @@ pub(crate) struct SessionCore {
     /// Per-design trace handles; `None` when the engine runs without
     /// metrics ([`crate::EngineConfig::metrics`] off).
     obs: Option<SessionObs>,
+    /// Counts every applied delta, whichever thread drained it.
+    updates: UpdateCounter,
 }
 
 /// The session's slice of the engine's observability plane: the flight
@@ -232,49 +234,47 @@ impl SessionCore {
         self.state.lock().unwrap_or_else(Self::wedge_on_poison)
     }
 
-    /// Applies every pending delta in submission order; returns how many
-    /// were applied. Blocking — used by the inline drains
-    /// ([`UpdateTicket::wait`]), which guarantee liveness.
-    pub(crate) fn service(&self) -> usize {
-        self.drain_locked(&mut self.lock_state())
+    /// Applies every pending delta in submission order. Blocking — used
+    /// by the inline drains ([`UpdateTicket::wait`]), which guarantee
+    /// liveness.
+    pub(crate) fn service(&self) {
+        self.drain_locked(&mut self.lock_state());
     }
 
     /// The shard-worker variant of [`SessionCore::service`]: never blocks
     /// on the session state — a worker parked on one session's mutex
     /// would head-of-line-block every other job on its shard.
     ///
-    /// Returns `Some(applied)` when the drain ran (possibly applying
-    /// nothing), and `None` when the state lock was busy while deltas are
-    /// still pending — the current holder may have finished its own drain
-    /// before those deltas arrived, so the caller must re-nudge rather
-    /// than drop them on the floor (a lost nudge would silently degrade
-    /// pipelining to apply-on-next-inline-drain).
-    pub(crate) fn service_nonblocking(&self) -> Option<usize> {
+    /// Returns `true` when nothing is left pending (the drain ran, or the
+    /// queue was already empty), and `false` when the state lock was busy
+    /// while deltas are still pending — the current holder may have
+    /// finished its own drain before those deltas arrived, so the caller
+    /// must re-nudge rather than drop them on the floor (a lost nudge
+    /// would silently degrade pipelining to apply-on-next-inline-drain).
+    pub(crate) fn service_nonblocking(&self) -> bool {
         let mut state = match self.state.try_lock() {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::WouldBlock) => {
-                let drained = crate::lock::recover(&self.pending).is_empty();
-                return if drained { Some(0) } else { None };
+                return crate::lock::recover(&self.pending).is_empty();
             }
             Err(std::sync::TryLockError::Poisoned(poison)) => Self::wedge_on_poison(poison),
         };
-        Some(self.drain_locked(&mut state))
+        self.drain_locked(&mut state);
+        true
     }
 
-    fn drain_locked(&self, state: &mut SessionState) -> usize {
-        let mut applied = 0;
+    fn drain_locked(&self, state: &mut SessionState) {
         loop {
             let next = crate::lock::recover(&self.pending).pop_front();
             let Some(PendingUpdate { delta, reply }) = next else { break };
-            applied += 1;
             // A submitter that dropped its ticket is fine.
             let _ = reply.send(self.apply_locked(state, &delta));
         }
-        applied
     }
 
     /// Applies one delta under the state lock, enforcing the wedge/poison
-    /// discipline. The single apply path for drained and inline updates.
+    /// discipline. The single apply path for drained and inline updates,
+    /// and so the one place that counts them.
     fn apply_locked(
         &self,
         state: &mut SessionState,
@@ -283,6 +283,7 @@ impl SessionCore {
         if let Some(why) = &state.wedged {
             return Err(ServeError::Poisoned(format!("session wedged: {why}")));
         }
+        self.updates.record();
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.pipeline.apply(delta)))
         {
             Ok(Ok(update)) => {
@@ -437,6 +438,7 @@ impl ServeHandle {
             incr: Arc::new(incr),
             design: design_id,
             obs,
+            updates: self.update_counter(shard),
         });
         // Cross-kind hot-swaps must be able to kill this session's
         // activation cache (weakly held; dropping the session unregisters).
@@ -892,6 +894,46 @@ mod tests {
         let (c2, p2, g2) = design(12);
         let mut healthy = handle.open_session(SessionConfig::new("default"), c2, p2, g2).unwrap();
         assert!(healthy.predict().is_ok());
+        engine.shutdown();
+    }
+
+    /// A spliced predict grows its halo by sweeping each operator's own
+    /// rows, so serving never builds a transpose: every delta patches
+    /// `gnc_sum`/`gnc_mean`/`gcn_mean` into fresh matrices, and building
+    /// their transposes per delta cost more than the splice itself.
+    #[test]
+    fn spliced_predicts_build_no_transposes() {
+        use lhnn::{HybridNet, HybridNetConfig};
+        let registry = Arc::new(ModelRegistry::new());
+        registry.register("lhnn", Lhnn::new(LhnnConfig::default(), 0)).unwrap();
+        registry.register("hybridnet", HybridNet::new(HybridNetConfig::default(), 0)).unwrap();
+        let engine = ServeEngine::new(registry, EngineConfig::default());
+        for model in ["lhnn", "hybridnet"] {
+            let (circuit, placement, grid) = design(21);
+            let die = circuit.die;
+            let mut session = engine
+                .handle()
+                .open_session(SessionConfig::new(model), circuit, placement, grid.clone())
+                .unwrap();
+            session.predict().unwrap();
+            let id = CellId(3);
+            let p = session.with_pipeline(|pl| pl.placement().position(id));
+            let np = die.clamp(Point::new(p.x + grid.gcell_width() * 1.5, p.y));
+            let update = session.update(&PlacementDelta::single(id, np)).unwrap();
+            assert!(matches!(update, PipelineUpdate::Incremental { .. }), "{model}: {update:?}");
+            let spliced = session.incremental_stats().spliced_forwards;
+            session.predict().unwrap();
+            assert_eq!(session.incremental_stats().spliced_forwards, spliced + 1, "{model}");
+            let (ops, _) = session.inputs().unwrap();
+            for (name, op) in [
+                ("gnc_sum", &ops.gnc_sum),
+                ("gnc_mean", &ops.gnc_mean),
+                ("gcn_mean", &ops.gcn_mean),
+                ("lattice_mean", &ops.lattice_mean),
+            ] {
+                assert!(!op.transpose_cache_warm(), "{model}: serving built the {name} transpose");
+            }
+        }
         engine.shutdown();
     }
 

@@ -222,8 +222,8 @@ pub struct ShardStats {
     pub cache_hits: u64,
     /// Forward passes this shard's workers executed.
     pub computed: u64,
-    /// Pipelined session updates this shard's workers applied
-    /// (inline drains on caller threads are not counted here).
+    /// Session deltas applied on this shard's sessions, by its workers
+    /// or inline on caller threads.
     pub session_updates: u64,
     /// Median latency over this shard's own ring, microseconds.
     pub p50_us: u64,
@@ -257,7 +257,9 @@ pub struct ServeStats {
     pub batched_forwards: u64,
     /// Requests served by those block-diagonal forwards.
     pub batched_forward_jobs: u64,
-    /// Pipelined session updates applied by engine workers.
+    /// Session deltas applied, by engine workers or inline on caller
+    /// threads (`Session::predict`, `Session::update`,
+    /// `UpdateTicket::wait`).
     pub session_updates: u64,
     /// Median request latency, microseconds (over the engine's last 4096
     /// requests, whatever their shard mix).

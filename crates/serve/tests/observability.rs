@@ -164,6 +164,54 @@ fn exposition_contains_canonical_series() {
     engine.shutdown();
 }
 
+/// `lhnn_session_updates_total` and `ServeStats::session_updates` count
+/// every applied delta exactly once, whichever thread drains it: a shard
+/// worker picking up the pipelined nudge, or `Session::predict` draining
+/// inline first. The worker/inline split of each cycle is a race; the
+/// totals are not.
+#[test]
+fn session_updates_count_every_applied_delta() {
+    const N: u64 = 12;
+    let engine = ServeEngine::new(
+        registry(),
+        EngineConfig { workers: 2, shards: 2, ..EngineConfig::default() },
+    );
+    let handle = engine.handle();
+    let (circuit, placement, grid) = session_design(23);
+    let die = circuit.die;
+    let mut session = handle
+        .open_session(SessionConfig::new("m"), circuit, placement.clone(), grid.clone())
+        .expect("open session");
+    session.predict().expect("cold predict");
+    let counted = || {
+        (
+            handle.metrics_snapshot().counter("lhnn_session_updates_total"),
+            handle.stats().session_updates,
+        )
+    };
+    assert_eq!(counted(), (0, 0));
+    for step in 0..N {
+        let id = CellId(step as u32);
+        let p = placement.position(id);
+        let np = die.clamp(Point::new(p.x + grid.gcell_width() * 1.25, p.y));
+        let _ticket = session.submit_update(&PlacementDelta::single(id, np));
+        session.predict().expect("predict");
+        assert_eq!(counted(), (step + 1, step + 1), "after cycle {step}");
+    }
+    // The blocking paths count too: a ticket drained by `wait` and a
+    // synchronous `Session::update`.
+    session
+        .submit_update(&PlacementDelta::single(CellId(0), placement.position(CellId(0))))
+        .wait()
+        .expect("wait");
+    session
+        .update(&PlacementDelta::single(CellId(1), placement.position(CellId(1))))
+        .expect("update");
+    assert_eq!(counted(), (N + 2, N + 2));
+    assert_eq!(handle.stats().per_shard[session.shard()].session_updates, N + 2);
+    engine.shutdown();
+}
+
 /// Hot-swapping a model on a live engine leaves a flight event behind.
 #[test]
 fn flight_recorder_captures_hot_swaps() {
