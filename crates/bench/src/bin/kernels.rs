@@ -10,6 +10,10 @@
 //! cargo run --release -p lhnn-bench --bin kernels [-- --threads N --simd on|off --out DIR]
 //! ```
 //!
+//! The dense rows include the model's own shapes at 48×48 G-cells
+//! (`linear_`, `matmul_tn_`, `matmul_nt_2304x32x32`: the fused forward
+//! linear and the two backward products).
+//!
 //! `--simd off` routes every kernel through the scalar lane-emulation
 //! path for the main columns (bitwise identical results — the SIMD
 //! contract); each dense/sparse row also carries `simd_on_ms_1t` /
@@ -27,7 +31,7 @@ use lh_graph::{FeatureSet, LhGraph, LhGraphConfig, Targets};
 use lhnn::{AblationSpec, Lhnn, LhnnConfig, Sample, TrainConfig};
 use lhnn_bench::HarnessArgs;
 use lhnn_data::{write_bench_json, BenchRecord, TextTable};
-use neurograd::{pool, simd, CsrMatrix, Matrix, Tape};
+use neurograd::{kernels, pool, simd, CsrMatrix, Matrix, Tape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vlsi_netlist::synth::{generate, SynthConfig};
@@ -68,10 +72,17 @@ fn simd_onoff_ms(restore_on: bool, mut f: impl FnMut()) -> (f64, f64) {
     (on, off)
 }
 
-/// Tags a thread-scaling record with the SIMD on/off pair for the same
-/// workload.
-fn with_simd_extras(record: BenchRecord, on_ms: f64, off_ms: f64) -> BenchRecord {
-    record
+/// A thread-scaling record for `f`, tagged with the SIMD on/off pair for
+/// the same workload.
+fn scaling_with_simd(
+    name: String,
+    threads: usize,
+    simd_on: bool,
+    mut f: impl FnMut(),
+) -> BenchRecord {
+    let (ms_1t, ms_nt) = scale_ms(threads, &mut f);
+    let (on_ms, off_ms) = simd_onoff_ms(simd_on, &mut f);
+    BenchRecord::thread_scaling(name, ms_1t, threads, ms_nt)
         .with_extra("simd_on_ms_1t", on_ms)
         .with_extra("simd_off_ms_1t", off_ms)
         .with_extra("simd_speedup", off_ms / on_ms.max(1e-9))
@@ -150,34 +161,42 @@ fn main() {
     for rows in [4096usize, 16384] {
         let a = random_matrix(rows, 64, &mut rng);
         let b = random_matrix(64, 64, &mut rng);
-        let (ms_1t, ms_nt) = scale_ms(threads, || {
+        records.push(scaling_with_simd(format!("matmul_{rows}x64x64"), threads, simd_on, || {
             std::hint::black_box(a.matmul(&b));
-        });
-        let (on_ms, off_ms) = simd_onoff_ms(simd_on, || {
-            std::hint::black_box(a.matmul(&b));
-        });
-        records.push(with_simd_extras(
-            BenchRecord::thread_scaling(format!("matmul_{rows}x64x64"), ms_1t, threads, ms_nt),
-            on_ms,
-            off_ms,
-        ));
+        }));
     }
+
+    // the model's own dense shapes on a 48×48 lattice (2304 G-cells,
+    // hidden 32): the fused forward linear, the weight gradient `xᵀ·g` and
+    // the input gradient `g·wᵀ` of the backward, into reused buffers
+    let (cells, hidden) = (2304usize, 32usize);
+    let x = random_matrix(cells, hidden, &mut rng);
+    let g = random_matrix(cells, hidden, &mut rng);
+    let w = random_matrix(hidden, hidden, &mut rng);
+    let bias: Vec<f32> = (0..hidden).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let mut out = vec![0.0f32; cells * hidden];
+    let shape = format!("{cells}x{hidden}x{hidden}");
+    records.push(scaling_with_simd(format!("linear_{shape}"), threads, simd_on, || {
+        kernels::linear_act_into(&x, &w, &bias, &mut out, |v| v.max(0.0));
+        std::hint::black_box(&out);
+    }));
+    let mut grad_w = vec![0.0f32; hidden * hidden];
+    records.push(scaling_with_simd(format!("matmul_tn_{shape}"), threads, simd_on, || {
+        kernels::matmul_tn_into(&x, &g, &mut grad_w);
+        std::hint::black_box(&grad_w);
+    }));
+    records.push(scaling_with_simd(format!("matmul_nt_{shape}"), threads, simd_on, || {
+        kernels::matmul_nt_into(&g, &w, &mut out);
+        std::hint::black_box(&out);
+    }));
 
     // sparse spmm / spmm_t: lattice-like aggregation over 32 channels
     for rows in [4096usize, 16384] {
         let s = lattice_like(rows);
         let x = random_matrix(rows, 32, &mut rng);
-        let (ms_1t, ms_nt) = scale_ms(threads, || {
+        records.push(scaling_with_simd(format!("spmm_{rows}x{rows}x32"), threads, simd_on, || {
             std::hint::black_box(s.spmm(&x));
-        });
-        let (on_ms, off_ms) = simd_onoff_ms(simd_on, || {
-            std::hint::black_box(s.spmm(&x));
-        });
-        records.push(with_simd_extras(
-            BenchRecord::thread_scaling(format!("spmm_{rows}x{rows}x32"), ms_1t, threads, ms_nt),
-            on_ms,
-            off_ms,
-        ));
+        }));
         let _ = s.transpose_cached(); // warm: measure the product, not the build
         let (ms_1t, ms_nt) = scale_ms(threads, || {
             std::hint::black_box(s.spmm_t(&x));

@@ -59,8 +59,9 @@ fn serve_burst_ms(ops: &Arc<GraphOps>, variants: &[Arc<FeatureSet>], workers: us
 }
 
 fn main() {
-    let args = HarnessArgs::from_env();
-    // extra flag: worker-pool width for the parallel columns
+    let args = HarnessArgs::from_env_with(
+        "  --threads N   worker-pool and compute threads of the parallel columns (default min(host, 4))\n",
+    );
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let threads = raw
         .windows(2)

@@ -30,8 +30,13 @@ help_smoke! {
     figure4_prints_help => "CARGO_BIN_EXE_figure4" / "figure4";
     gamma_sweep_prints_help => "CARGO_BIN_EXE_gamma_sweep" / "gamma_sweep";
     fanout_ablation_prints_help => "CARGO_BIN_EXE_fanout_ablation" / "fanout_ablation";
-    scaling_prints_help => "CARGO_BIN_EXE_scaling" / "scaling";
     serving_prints_help => "CARGO_BIN_EXE_serving" / "serving";
+}
+
+#[test]
+fn scaling_prints_help() {
+    let text = assert_help(env!("CARGO_BIN_EXE_scaling"), "scaling");
+    assert!(text.contains("--threads N"), "scaling: usage lacks its own --threads N flag:\n{text}");
 }
 
 #[test]

@@ -116,13 +116,11 @@ impl TextTable {
 
 /// One baseline-vs-candidate measurement of a bench harness.
 ///
-/// Earlier revisions hard-coded the two columns as `ms_1t`/`ms_nt`
-/// ("1 thread" vs "N threads"), and benches that compared anything else —
-/// `loop-bench`'s "full rebuild" vs "incremental update", say — silently
-/// redefined the fields. The record now names its own columns, so every
-/// `BENCH_*.json` is self-describing; the JSON writer still emits the
-/// legacy `ms_1t`/`ms_nt` keys (baseline/candidate respectively) so files
-/// from either era read the same way.
+/// The record names its own two columns (`baseline_label`,
+/// `candidate_label`), so every `BENCH_*.json` is self-describing: the
+/// JSON writer emits the labels next to `ms_baseline`/`ms_candidate`,
+/// whatever the two columns compare ("1 thread" vs "N threads", "full
+/// rebuild" vs "incremental update", ...).
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
     /// Workload label (e.g. `matmul_4096x64x64`).
@@ -201,9 +199,6 @@ pub fn write_bench_json(
     let _ = writeln!(out, "  \"results\": [");
     for (i, r) in records.iter().enumerate() {
         let comma = if i + 1 < records.len() { "," } else { "" };
-        // `ms_1t`/`ms_nt` are the legacy key names for baseline/candidate;
-        // keeping them means files written before the columns were labeled
-        // and files written after parse identically.
         let mut extras = String::new();
         for (k, v) in &r.extras {
             let _ = write!(extras, ", \"{}\": {:.4}", escape(k), v);
@@ -211,13 +206,10 @@ pub fn write_bench_json(
         let _ = writeln!(
             out,
             "    {{\"name\": \"{}\", \"baseline\": \"{}\", \"candidate\": \"{}\", \
-             \"ms_baseline\": {:.4}, \"ms_candidate\": {:.4}, \
-             \"ms_1t\": {:.4}, \"ms_nt\": {:.4}, \"speedup\": {:.3}{extras}}}{comma}",
+             \"ms_baseline\": {:.4}, \"ms_candidate\": {:.4}, \"speedup\": {:.3}{extras}}}{comma}",
             escape(&r.name),
             escape(&r.baseline_label),
             escape(&r.candidate_label),
-            r.baseline_ms,
-            r.candidate_ms,
             r.baseline_ms,
             r.candidate_ms,
             r.speedup()
@@ -252,12 +244,13 @@ mod tests {
         assert!(text.contains("\"threads\": 4"));
         assert!(text.contains("\"speedup\": 2.000"));
         assert!(text.contains("spmm \\\"odd\\\""), "quotes must be escaped:\n{text}");
-        // self-describing columns, with the legacy keys still present
+        // self-describing columns only: the legacy `ms_1t`/`ms_nt` mirrors are gone
         assert!(text.contains("\"baseline\": \"full rebuild\""));
         assert!(text.contains("\"candidate\": \"incremental\""));
         assert!(text.contains("\"ms_baseline\": 4.0000"));
-        assert!(text.contains("\"ms_1t\": 4.0000"), "legacy key must mirror the baseline");
-        assert!(text.contains("\"ms_nt\": 2.0000"), "legacy key must mirror the candidate");
+        assert!(text.contains("\"ms_candidate\": 2.0000"));
+        assert!(!text.contains("ms_1t"), "legacy baseline key must be absent:\n{text}");
+        assert!(!text.contains("ms_nt"), "legacy candidate key must be absent:\n{text}");
         // extra columns land verbatim on their record only
         assert!(text.contains("\"full_rebuilds\": 3.0000"));
         assert!(text.contains("\"fallback_fraction\": 0.2500"));

@@ -19,10 +19,12 @@
 //!
 //! The inner loops run on [`crate::simd`]'s lane engine. Accumulating
 //! kernels (`matmul`, `matmul_tn`, `spmm` and their row-subset variants)
-//! build each output row with element-wise `axpy` steps in `k`/entry
-//! order — vectorizing across the *row*, never across the reduction — so
-//! their float sequences are unchanged from the scalar seed kernels and
-//! unchanged by SIMD on/off. `matmul_nt` reduces along `k` and therefore
+//! build each output row in register tiles: a 32-column tile starts at
+//! `0.0`, takes one element-wise `+ a · x` per `k`/entry step in order and
+//! is stored once — vectorizing across the *row*, never across the
+//! reduction. Keeping the partial sums in registers rather than memory
+//! changes no operation, so their float sequences are unchanged from the
+//! scalar seed kernels and unchanged by SIMD on/off. `matmul_nt` reduces along `k` and therefore
 //! uses the fixed lane schedule (eight independent accumulators, a fixed
 //! pairwise tree, in-order remainder); its [`reference`] twin emulates
 //! that exact schedule, so SIMD on/off is bitwise invisible there too.

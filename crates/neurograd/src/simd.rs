@@ -37,9 +37,18 @@
 //! output row's accumulation behind one ISA boundary.
 //! `#[target_feature]` functions cannot be inlined into their callers, so
 //! a per-`axpy` dispatch pays an opaque call every `k`-step — hoisting
-//! the boundary to the row amortizes it across the whole inner loop. The
-//! fused forms execute the *same* primitive calls in the same order, so
-//! they change nothing about the bits.
+//! the boundary to the row amortizes it across the whole inner loop.
+//!
+//! The accumulating rows (`gemm_row`, `gemm_row_strided`, `spmm_row`) are
+//! **register-tiled**: a 32-column tile of the output row lives in a
+//! local array — four vector registers — for the whole `k`/entry
+//! reduction and is stored once at the end, instead of being loaded,
+//! added to and stored back on every step. That removes the
+//! store-to-load chain between steps, not any arithmetic: each output
+//! element still starts at `0.0` and receives one `+ a · x` per step in
+//! the same order with separate mul and add roundings, so the bits equal
+//! one [`LaneEngine::axpy`] per step (the scalar twins still spell out
+//! exactly that).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -196,16 +205,61 @@ fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     total
 }
 
+/// Output columns per register tile: four `LANES`-wide vectors.
+const TILE: usize = 4 * LANES;
+
+/// The register-tiled row kernel behind every accumulating row: `out =
+/// Σ_s coef_s · src[row_s]` over `steps = (coef_s, row_s)` in order (rows
+/// of `src` are `out.len()` wide), `out` overwritten. The row is cut into
+/// [`TILE`]-, then `LANES`-, then 1-column tiles; each tile starts at
+/// `0.0` in a local array, runs the whole reduction there and is written
+/// once. Every element thus sees `0.0` then one `+ coef · x` per step —
+/// the float sequence of one `axpy` per step, minus the store and reload
+/// of the row between steps.
+#[inline(always)]
+fn accumulate_row_lanes(
+    out: &mut [f32],
+    src: &[f32],
+    steps: impl Iterator<Item = (f32, usize)> + Clone,
+) {
+    let mut j = 0;
+    while j + TILE <= out.len() {
+        j = accumulate_tile::<TILE>(out, src, j, steps.clone());
+    }
+    while j + LANES <= out.len() {
+        j = accumulate_tile::<LANES>(out, src, j, steps.clone());
+    }
+    while j < out.len() {
+        j = accumulate_tile::<1>(out, src, j, steps.clone());
+    }
+}
+
+/// The `W` columns of [`accumulate_row_lanes`] from `j`; returns `j + W`.
+#[inline(always)]
+fn accumulate_tile<const W: usize>(
+    out: &mut [f32],
+    src: &[f32],
+    j: usize,
+    steps: impl Iterator<Item = (f32, usize)>,
+) -> usize {
+    let n = out.len();
+    let mut acc = [0.0f32; W];
+    for (coef, row) in steps {
+        let x: &[f32; W] = src[row * n + j..][..W].try_into().expect("tile width");
+        for l in 0..W {
+            acc[l] += coef * x[l];
+        }
+    }
+    out[j..j + W].copy_from_slice(&acc);
+    j + W
+}
+
 /// Portable row kernel: `out = Σ_k a_row[k] · b[k]` (rows of `b` are
-/// `out.len()` wide), zeroing `out` first — the row-major GEMM inner
-/// pair, accumulated in `k` order.
+/// `out.len()` wide), `out` overwritten — the row-major GEMM inner pair,
+/// accumulated in `k` order.
 #[inline(always)]
 fn gemm_row_lanes(out: &mut [f32], a_row: &[f32], b: &[f32]) {
-    out.fill(0.0);
-    let n = out.len();
-    for (k, &av) in a_row.iter().enumerate() {
-        axpy_lanes(out, av, &b[k * n..(k + 1) * n]);
-    }
+    accumulate_row_lanes(out, b, a_row.iter().copied().zip(0..));
 }
 
 /// Scalar twin of [`gemm_row_lanes`] — same `k` order, element-wise adds.
@@ -223,12 +277,8 @@ fn gemm_row_scalar(out: &mut [f32], a_row: &[f32], b: &[f32]) {
 /// one column of a row-major matrix).
 #[inline(always)]
 fn gemm_row_strided_lanes(out: &mut [f32], a: &[f32], stride: usize, b: &[f32]) {
-    out.fill(0.0);
-    let n = out.len();
-    let k = if n == 0 { 0 } else { b.len() / n };
-    for kk in 0..k {
-        axpy_lanes(out, a[kk * stride], &b[kk * n..(kk + 1) * n]);
-    }
+    let k = if out.is_empty() { 0 } else { b.len() / out.len() };
+    accumulate_row_lanes(out, b, (0..k).map(|kk| (a[kk * stride], kk)));
 }
 
 /// Scalar twin of [`gemm_row_strided_lanes`].
@@ -263,15 +313,10 @@ fn dot_row_scalar(out: &mut [f32], a_row: &[f32], b: &[f32]) {
 }
 
 /// Portable row kernel for one CSR row: `out = Σ_e vals[e] ·
-/// x[cols[e]]`, zeroing `out` first; entries in stored (structural)
-/// order.
+/// x[cols[e]]`, `out` overwritten; entries in stored (structural) order.
 #[inline(always)]
 fn spmm_row_lanes(out: &mut [f32], cols: &[usize], vals: &[f32], x: &[f32]) {
-    out.fill(0.0);
-    let n = out.len();
-    for (&c, &v) in cols.iter().zip(vals) {
-        axpy_lanes(out, v, &x[c * n..(c + 1) * n]);
-    }
+    accumulate_row_lanes(out, x, vals.iter().copied().zip(cols.iter().copied()));
 }
 
 /// Scalar twin of [`spmm_row_lanes`].
@@ -361,8 +406,8 @@ impl LaneEngine {
 
     /// One GEMM output row: `out = Σ_k a_row[k] · b[k]` (rows of `b` are
     /// `out.len()` wide), `out` overwritten, accumulation in `k` order —
-    /// exactly an [`LaneEngine::axpy`] per `k`, fused behind one ISA
-    /// boundary.
+    /// bitwise an [`LaneEngine::axpy`] per `k` on a zeroed row, run
+    /// register-tiled behind one ISA boundary.
     #[inline]
     pub fn gemm_row(self, out: &mut [f32], a_row: &[f32], b: &[f32]) {
         match self {
@@ -398,8 +443,9 @@ impl LaneEngine {
     }
 
     /// One CSR×dense output row: `out = Σ_e vals[e] · x[cols[e]]`, `out`
-    /// overwritten, entries in stored order — an [`LaneEngine::axpy`] per
-    /// structural entry, fused behind one ISA boundary.
+    /// overwritten, entries in stored order — bitwise an
+    /// [`LaneEngine::axpy`] per structural entry, run register-tiled
+    /// behind one ISA boundary.
     #[inline]
     pub fn spmm_row(self, out: &mut [f32], cols: &[usize], vals: &[f32], x: &[f32]) {
         match self {

@@ -74,14 +74,58 @@ proptest! {
         }
     }
 
+    /// The accumulating row entry points agree bitwise across engines at
+    /// every register-tile boundary (32-column tiles, 8-lane tiles, the
+    /// scalar remainder), overwrite stale output, and turn an empty
+    /// reduction into an all-`+0.0` row.
+    #[test]
+    fn accumulating_rows_agree_bitwise_across_engines(
+        k in 0usize..12,
+        stride in 1usize..4,
+        cols in proptest::collection::vec(0usize..16, 0..12),
+        seed in proptest::collection::vec(-2.0f32..2.0, 1..16),
+    ) {
+        for width in [0usize, 1, 7, 8, 9, 31, 32, 33, 40, 64, 71] {
+            // both GEMM rows take their coefficients from the first column
+            // of the row-major k×stride `a` (`gemm_row` from a copy,
+            // `gemm_row_strided` in place); `x` holds every dense row
+            let a = matrix_from(k.max(1), stride, &seed);
+            let a_row: Vec<f32> = a.as_slice().iter().step_by(stride).copied().collect();
+            let x = matrix_from(k.max(16), width, &seed);
+            let vals: Vec<f32> = cols.iter().map(|&c| seed[c % seed.len()] - 0.25).collect();
+            let rows_on = |e: LaneEngine, k: usize, nnz: usize| {
+                let b = &x.as_slice()[..k * width];
+                let mut outs = vec![vec![-7.0f32; width]; 3];
+                e.gemm_row(&mut outs[0], &a_row[..k], b);
+                e.gemm_row_strided(&mut outs[1], a.as_slice(), stride, b);
+                e.spmm_row(&mut outs[2], &cols[..nnz], &vals[..nnz], x.as_slice());
+                outs
+            };
+            for (k, nnz) in [(k, cols.len()), (0, 0)] {
+                let want = rows_on(LaneEngine::Scalar, k, nnz);
+                for e in engines() {
+                    for (got, want) in rows_on(e, k, nnz).iter().zip(&want) {
+                        prop_assert!(bitwise_eq(got, want), "{:?} diverged at width {} k {}", e, width, k);
+                    }
+                }
+                if k == 0 && nnz == 0 {
+                    for v in want.concat() {
+                        prop_assert_eq!(v.to_bits(), 0.0f32.to_bits(), "empty reduction must be +0.0");
+                    }
+                }
+            }
+        }
+    }
+
     /// Dense kernels at deliberately awkward shapes — 1-row, 1-col and
-    /// non-multiple-of-lane-width columns — match the scalar reference
-    /// twin bitwise at every thread count.
+    /// widths up to two full 32-column register tiles plus an 8-lane
+    /// tile and a scalar remainder — match the scalar reference twin
+    /// bitwise at every thread count.
     #[test]
     fn dense_kernels_match_reference_at_odd_shapes(
         m in 1usize..12,
         k in 1usize..12,
-        n in 1usize..20,
+        n in 1usize..80,
         threads in 1usize..5,
         seed in proptest::collection::vec(-2.0f32..2.0, 1..16),
     ) {
@@ -108,7 +152,7 @@ proptest! {
     fn row_subset_kernels_match_full_kernels(
         m in 2usize..12,
         k in 1usize..10,
-        n in 1usize..18,
+        n in 1usize..80,
         threads in 1usize..5,
         row_mask in proptest::collection::vec(0usize..2, 2..12),
         seed in proptest::collection::vec(-2.0f32..2.0, 1..16),
@@ -156,7 +200,7 @@ proptest! {
     fn spmm_with_empty_rows_matches_reference(
         rows in 1usize..24,
         cols in 1usize..24,
-        n in 1usize..12,
+        n in 1usize..80,
         threads in 1usize..5,
         entries in proptest::collection::vec((0usize..24, 0usize..24, -3.0f32..3.0), 0..48),
         seed in proptest::collection::vec(-2.0f32..2.0, 1..16),
