@@ -100,10 +100,7 @@ impl UNetNet {
         h: usize,
         w: usize,
     ) -> Var {
-        assert!(
-            h.is_multiple_of(4) && w.is_multiple_of(4),
-            "u-net needs dims divisible by 4, got {h}x{w}"
-        );
+        assert!(h % 4 == 0 && w % 4 == 0, "u-net needs dims divisible by 4, got {h}x{w}");
         assert_eq!(
             tape.shape(x),
             (self.in_dim, h * w),

@@ -7,11 +7,12 @@
 //! anything that can
 //!
 //! * run a **taped forward** (for the data-parallel trainer),
-//! * run a **fused, tape-free forward** through model-owned scratch
-//!   buffers ([`CongestionModel::predict_with`] — the serving hot path),
-//! * produce an **activation cache** for the bounded-radius incremental
-//!   forward ([`crate::IncrementalForward`]): per-layer full-size
-//!   activations plus masked row-subset refresh paths,
+//! * produce an **activation cache** ([`ActivationCache`]): the tensors a
+//!   row-subset refresh reads outside the rows it recomputes, plus shared
+//!   row-local temporaries, refreshed over all rows for a stateless
+//!   predict ([`CongestionModel::predict_with`] — the serving hot path)
+//!   or over a dilated dirty halo by the bounded-radius incremental
+//!   forward ([`crate::IncrementalForward`]),
 //! * fingerprint its weights (the registry's cache-coherent *version*),
 //! * and serialise itself under a kind tag (`.lhnn` v2).
 //!
@@ -22,12 +23,12 @@
 //!
 //! # Bitwise contract
 //!
-//! Implementations must keep the three forward paths — taped
-//! ([`CongestionModel::forward`] + sigmoid), fused
-//! ([`CongestionModel::predict_with`]) and masked row-subset (the
-//! [`ActivationCache`] refreshes) — **bitwise identical** on the same
-//! inputs at any thread count. Every serving parity proptest (served ==
-//! direct, spliced == full) rests on that invariant.
+//! Implementations must keep their two forward paths — taped
+//! ([`CongestionModel::forward`] + sigmoid) and row-subset (the
+//! [`ActivationCache`] refreshes, full or spliced) — **bitwise
+//! identical** on the same inputs at any thread count. Every serving
+//! parity proptest (served == direct, spliced == full) rests on that
+//! invariant; `tests/forward_parity.rs` pins the refresh to the tape.
 
 use std::any::Any;
 use std::io::Write;
@@ -35,21 +36,38 @@ use std::io::Write;
 use lh_graph::{ChannelMode, FeatureSet};
 use neurograd::{ParamStore, Tape};
 
-use crate::incremental::ActivationCache;
+use crate::incremental::{ActivationCache, DilateTimer};
 use crate::model::{LhnnOutput, Prediction};
 use crate::ops::GraphOps;
 use crate::serialize::ModelIoError;
 
-/// Model-owned scratch state for the fused (tape-free) forward.
+/// Reusable scratch for stateless predicts: one activation cache, refreshed
+/// over all rows by [`CongestionModel::predict_with`].
 ///
-/// Each architecture defines its own buffer layout (e.g.
-/// [`crate::InferenceScratch`] for [`crate::Lhnn`]); the serving workers
-/// hold them behind this trait in a [`ScratchSet`] so one long-lived
-/// worker thread can serve a mixed model zoo with zero steady-state
-/// allocation per kind.
-pub trait ModelScratch: Send + std::fmt::Debug {
-    /// Downcast access for the owning model's `predict_with`.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+/// The cache is rebuilt only when the model's kind or architecture
+/// (hidden width, channel count, block counts) or the request's
+/// `(n_c, n_n)` differ from the last predict, so a long-lived worker
+/// reuses every intermediate buffer across steady-state requests. Each
+/// predict still allocates the two output matrices it returns. One
+/// scratch belongs to one thread at a time; it is `Send`, so a pool can
+/// move it between workers.
+#[derive(Default)]
+pub struct InferenceScratch {
+    cache: Option<Box<dyn ActivationCache>>,
+}
+
+impl InferenceScratch {
+    /// An empty scratch; the first predict builds its cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl std::fmt::Debug for InferenceScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let shape = self.cache.as_ref().map(|c| (c.kind(), c.n_c(), c.n_n()));
+        f.debug_struct("InferenceScratch").field("cache", &shape).finish()
+    }
 }
 
 /// The congestion-prediction model contract (see the module docs).
@@ -100,21 +118,6 @@ pub trait CongestionModel: Send + Sync + std::fmt::Debug {
     /// Panics if feature dimensions disagree with the configuration.
     fn forward(&self, tape: &mut Tape, ops: &GraphOps, features: &FeatureSet) -> LhnnOutput;
 
-    /// A fresh scratch for [`CongestionModel::predict_with`].
-    fn new_scratch(&self) -> Box<dyn ModelScratch>;
-
-    /// The fused, tape-free forward through caller-owned scratch — the
-    /// serving hot path. `scratch` should come from this model's
-    /// [`CongestionModel::new_scratch`] (a [`ScratchSet`] guarantees
-    /// that); on a foreign scratch the model must still answer correctly
-    /// (falling back to a fresh local scratch).
-    fn predict_with(
-        &self,
-        ops: &GraphOps,
-        features: &FeatureSet,
-        scratch: &mut dyn ModelScratch,
-    ) -> Prediction;
-
     /// A zeroed full-size activation cache for the incremental forward,
     /// shaped to `(n_c, n_n)` and stamped with `weights_version`.
     fn new_activation_cache(
@@ -142,21 +145,56 @@ pub trait CongestionModel: Send + Sync + std::fmt::Debug {
         self.store().num_scalars()
     }
 
+    /// A fresh scratch for [`CongestionModel::predict_with`] (boxed, so
+    /// callers hand it over as `scratch.as_mut()`).
+    fn new_scratch(&self) -> Box<InferenceScratch> {
+        Box::default()
+    }
+
+    /// Tape-free inference through caller-owned scratch — the serving hot
+    /// path. Runs this model's own [`ActivationCache::refresh_full`] (all
+    /// rows, no halo growth) in `scratch`'s cache, rebuilding the cache
+    /// first when it was laid out for another kind, architecture or
+    /// `(n_c, n_n)`. Bitwise identical to [`CongestionModel::forward`] on
+    /// a tape plus a sigmoid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if feature dimensions disagree with the configuration.
+    fn predict_with(
+        &self,
+        ops: &GraphOps,
+        features: &FeatureSet,
+        scratch: &mut InferenceScratch,
+    ) -> Prediction {
+        assert_eq!(features.gcell.cols(), self.gcell_in_dim(), "g-cell feature dim mismatch");
+        assert_eq!(features.gnet.cols(), self.gnet_in_dim(), "g-net feature dim mismatch");
+        let (n_c, n_n) = (features.gcell.rows(), features.gnet.rows());
+        // Taken out for the refresh, so a panic mid-forward drops it.
+        let mut cache = match scratch.cache.take() {
+            Some(c) if c.fits(self.as_any(), n_c, n_n) => c,
+            _ => self.new_activation_cache(0, n_c, n_n),
+        };
+        cache.refresh_full(self.as_any(), ops, features, &mut DilateTimer::new(false));
+        let pred = cache.cached_prediction();
+        scratch.cache = Some(cache);
+        pred
+    }
+
     /// One-shot inference through a fresh scratch (convenience; hot paths
     /// should reuse a [`ScratchSet`]).
     fn predict(&self, ops: &GraphOps, features: &FeatureSet) -> Prediction {
-        let mut scratch = self.new_scratch();
-        self.predict_with(ops, features, scratch.as_mut())
+        self.predict_with(ops, features, &mut InferenceScratch::new())
     }
 }
 
-/// A worker's per-kind scratch pool: one [`ModelScratch`] per model kind,
-/// created lazily on first use and reused for every later request of that
-/// kind — so a single long-lived worker serves a mixed zoo with the same
-/// zero-steady-state-allocation property the `Lhnn`-only scratch had.
+/// A worker's per-kind scratch pool: one [`InferenceScratch`] per model
+/// kind, created lazily on first use and reused for every later request of
+/// that kind — so a single long-lived worker serving a mixed zoo keeps one
+/// activation cache per kind instead of rebuilding on every switch.
 #[derive(Debug, Default)]
 pub struct ScratchSet {
-    slots: Vec<(&'static str, Box<dyn ModelScratch>)>,
+    slots: Vec<(&'static str, InferenceScratch)>,
 }
 
 impl ScratchSet {
@@ -166,19 +204,19 @@ impl ScratchSet {
     }
 
     /// The scratch slot for `model`'s kind, created on first use.
-    pub fn for_model(&mut self, model: &dyn CongestionModel) -> &mut dyn ModelScratch {
+    pub fn for_model(&mut self, model: &dyn CongestionModel) -> &mut InferenceScratch {
         let kind = model.kind();
         let idx = match self.slots.iter().position(|(k, _)| *k == kind) {
             Some(i) => i,
             None => {
-                self.slots.push((kind, model.new_scratch()));
+                self.slots.push((kind, InferenceScratch::new()));
                 self.slots.len() - 1
             }
         };
-        self.slots[idx].1.as_mut()
+        &mut self.slots[idx].1
     }
 
-    /// Fused inference through the model's own pooled scratch.
+    /// Tape-free inference through the model's own pooled scratch.
     pub fn predict(
         &mut self,
         model: &dyn CongestionModel,
@@ -192,5 +230,59 @@ impl ScratchSet {
     /// Number of distinct kinds this set holds scratch for.
     pub fn kinds(&self) -> usize {
         self.slots.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::AblationSpec;
+    use crate::{HybridNet, HybridNetConfig, Lhnn, LhnnConfig};
+    use lh_graph::{LhGraph, LhGraphConfig};
+    use vlsi_netlist::synth::{generate, SynthConfig};
+    use vlsi_place::GlobalPlacer;
+
+    fn design(seed: u64, n_cells: usize, nx: u32, ny: u32) -> (GraphOps, FeatureSet) {
+        let cfg = SynthConfig { seed, n_cells, grid_nx: nx, grid_ny: ny, ..SynthConfig::default() };
+        let synth = generate(&cfg).unwrap();
+        let grid = cfg.grid();
+        let placed = GlobalPlacer::default().place_synth(&synth, &grid).unwrap();
+        let graph =
+            LhGraph::build(&synth.circuit, &placed.placement, &grid, &LhGraphConfig::default())
+                .unwrap();
+        let feats = FeatureSet::build(&graph, &synth.circuit, &placed.placement, &grid)
+            .unwrap()
+            .normalized();
+        (GraphOps::from_graph(&graph, &AblationSpec::full()), feats)
+    }
+
+    #[test]
+    fn scratch_set_rebuilds_on_config_and_shape_changes() {
+        // Slots are keyed by kind only, so the reused cache itself must
+        // notice a different architecture or (n_c, n_n) of the same kind.
+        let a = design(1, 150, 8, 8);
+        let b = design(2, 180, 10, 7);
+        assert_ne!((a.1.gcell.rows(), a.1.gnet.rows()), (b.1.gcell.rows(), b.1.gnet.rows()));
+        let lhnn32 = Lhnn::new(LhnnConfig::default(), 0);
+        let lhnn16 = Lhnn::new(
+            LhnnConfig {
+                hidden: 16,
+                hypermp_layers: 1,
+                channel_mode: ChannelMode::Duo,
+                ..Default::default()
+            },
+            1,
+        );
+        let hybrid = HybridNet::new(HybridNetConfig::default(), 2);
+        let steps: [(&dyn CongestionModel, &(GraphOps, FeatureSet)); 4] =
+            [(&lhnn32, &a), (&lhnn16, &a), (&hybrid, &b), (&lhnn32, &b)];
+        let mut set = ScratchSet::new();
+        for (i, (model, (ops, feats))) in steps.into_iter().enumerate() {
+            let served = set.predict(model, ops, feats);
+            let fresh = model.predict(ops, feats);
+            assert!(fresh.cls_prob.approx_eq(&served.cls_prob, 0.0), "step {i}: cls diverged");
+            assert!(fresh.reg.approx_eq(&served.reg, 0.0), "step {i}: reg diverged");
+        }
+        assert_eq!(set.kinds(), 2);
     }
 }

@@ -19,10 +19,12 @@
 //!   heads.
 //!
 //! The model is composed entirely from the same [`neurograd`] layers and
-//! [`GraphOps`] operators as LHNN, so it inherits the three bitwise-
-//! identical forward paths (taped, fused, masked row-subset) and rides
-//! the same trainer, engine, sessions and incremental forward.
+//! [`GraphOps`] operators as LHNN, so it inherits the two bitwise-
+//! identical forward paths (taped, and the masked row-subset refresh that
+//! serves both stateless and spliced predicts) and rides the same
+//! trainer, engine, sessions and incremental forward.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use lh_graph::{halo, ChannelMode, FeatureSet};
@@ -30,7 +32,7 @@ use neurograd::{kernels, stable_sigmoid, Activation, Linear, Matrix, ParamStore,
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::congestion::{CongestionModel, ModelScratch};
+use crate::congestion::CongestionModel;
 use crate::incremental::{widen_rows, ActivationCache, DilateTimer};
 use crate::model::{LhnnOutput, Prediction};
 use crate::ops::GraphOps;
@@ -84,100 +86,6 @@ pub(crate) struct TopoRound {
     pub(crate) res_c: ResBlock,
     pub(crate) lin_n: Linear,
     pub(crate) lin_c: Linear,
-}
-
-/// Persistent full-size intermediate buffers for HybridNet's fused
-/// (tape-free) inference path, sized to one `(n_c, n_n, hidden,
-/// channels)` shape. Same contract as LHNN's buffers: every matrix is
-/// wholly overwritten before anything reads it.
-#[derive(Debug)]
-struct HybridBuffers {
-    n_c: usize,
-    n_n: usize,
-    hidden: usize,
-    channels: usize,
-    // Branch embeddings (live across the whole forward).
-    g: Matrix,
-    t: Matrix,
-    // G-cell-side ping-pong.
-    tmp_c: Matrix,
-    msg_c: Matrix,
-    lin_c: Matrix,
-    sc_c: Matrix,
-    sy_c: Matrix,
-    // G-net side.
-    t_n: Matrix,
-    tmp_n: Matrix,
-    msg_n: Matrix,
-    sc_n: Matrix,
-    sy_n: Matrix,
-    // Fusion + heads.
-    cat: Matrix,
-    fused: Matrix,
-    cls: Matrix,
-    reg: Matrix,
-}
-
-impl HybridBuffers {
-    fn new(n_c: usize, n_n: usize, hidden: usize, channels: usize) -> Self {
-        let zc = || Matrix::zeros(n_c, hidden);
-        let zn = || Matrix::zeros(n_n, hidden);
-        Self {
-            n_c,
-            n_n,
-            hidden,
-            channels,
-            g: zc(),
-            t: zc(),
-            tmp_c: zc(),
-            msg_c: zc(),
-            lin_c: zc(),
-            sc_c: zc(),
-            sy_c: zc(),
-            t_n: zn(),
-            tmp_n: zn(),
-            msg_n: zn(),
-            sc_n: zn(),
-            sy_n: zn(),
-            cat: Matrix::zeros(n_c, 2 * hidden),
-            fused: zc(),
-            cls: Matrix::zeros(n_c, channels),
-            reg: Matrix::zeros(n_c, channels),
-        }
-    }
-}
-
-/// Reusable per-thread scratch for HybridNet's tape-free inference
-/// (HybridNet's analogue of [`crate::InferenceScratch`]).
-#[derive(Debug, Default)]
-pub struct HybridScratch {
-    buffers: Option<HybridBuffers>,
-}
-
-impl HybridScratch {
-    /// Creates an empty scratch buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn buffers_for(&mut self, model: &HybridNet, n_c: usize, n_n: usize) -> &mut HybridBuffers {
-        let h = model.cfg.hidden;
-        let ch = model.cfg.channel_mode.channels();
-        let ok = self
-            .buffers
-            .as_ref()
-            .is_some_and(|b| b.n_c == n_c && b.n_n == n_n && b.hidden == h && b.channels == ch);
-        if !ok {
-            self.buffers = Some(HybridBuffers::new(n_c, n_n, h, ch));
-        }
-        self.buffers.as_mut().expect("buffers just ensured")
-    }
-}
-
-impl ModelScratch for HybridScratch {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// The HybridNet model: parameters plus architecture.
@@ -324,64 +232,10 @@ impl HybridNet {
         LhnnOutput { cls_logits, reg }
     }
 
-    /// Inference: returns dense probability and regression maps.
+    /// Inference: returns dense probability and regression maps (the
+    /// tape-free [`CongestionModel::predict`]).
     pub fn predict(&self, ops: &GraphOps, features: &FeatureSet) -> Prediction {
-        self.predict_into(ops, features, &mut HybridScratch::new())
-    }
-
-    /// Inference re-using a caller-owned [`HybridScratch`]: the fused,
-    /// tape-free forward, bitwise identical to [`HybridNet::forward`]
-    /// plus a sigmoid (same fused-kernel contract as
-    /// [`crate::Lhnn::predict_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if feature dimensions disagree with the configuration.
-    pub fn predict_into(
-        &self,
-        ops: &GraphOps,
-        features: &FeatureSet,
-        scratch: &mut HybridScratch,
-    ) -> Prediction {
-        assert_eq!(features.gcell.cols(), self.cfg.gcell_in_dim, "g-cell feature dim mismatch");
-        assert_eq!(features.gnet.cols(), self.cfg.gnet_in_dim, "g-net feature dim mismatch");
-        let n_c = features.gcell.rows();
-        let n_n = features.gnet.rows();
-        let store = &self.store;
-        let b = scratch.buffers_for(self, n_c, n_n);
-
-        // Geometry branch.
-        self.geo_lift.forward_into(store, &features.gcell, &mut b.sc_c, &mut b.sy_c, &mut b.g);
-        for blk in &self.geo {
-            blk.res.forward_into(store, &b.g, &mut b.sc_c, &mut b.sy_c, &mut b.tmp_c);
-            kernels::spmm_into(&ops.lattice_mean, &b.tmp_c, b.msg_c.as_mut_slice()); // P⁻¹A
-            blk.lin.forward_into(store, &b.msg_c, &mut b.lin_c);
-            // g ← lin_out + g (operand order of `tape.add(out, g)`).
-            kernels::zip_inplace(b.lin_c.as_slice(), b.g.as_mut_slice(), |o, v| o + v);
-        }
-
-        // Topology branch.
-        self.topo_lift.forward_into(store, &features.gnet, &mut b.sc_n, &mut b.sy_n, &mut b.t_n);
-        kernels::spmm_into(&ops.gnc_mean, &b.t_n, b.msg_c.as_mut_slice()); // D⁻¹H
-        self.topo_in.forward_into(store, &b.msg_c, &mut b.t);
-        for round in &self.topo {
-            round.res_c.forward_into(store, &b.t, &mut b.sc_c, &mut b.sy_c, &mut b.tmp_c);
-            kernels::spmm_into(&ops.gcn_mean, &b.tmp_c, b.msg_n.as_mut_slice()); // B⁻¹Hᵀ
-            round.lin_n.forward_into(store, &b.msg_n, &mut b.tmp_n);
-            kernels::spmm_into(&ops.gnc_mean, &b.tmp_n, b.msg_c.as_mut_slice()); // D⁻¹H
-            round.lin_c.forward_into(store, &b.msg_c, &mut b.lin_c);
-            // t ← upd + t (operand order of `tape.add(upd, t)`).
-            kernels::zip_inplace(b.lin_c.as_slice(), b.t.as_mut_slice(), |o, v| o + v);
-        }
-
-        // Late fusion + heads.
-        kernels::concat_into(&b.g, &b.t, b.cat.as_mut_slice());
-        self.fuse.forward_into(store, &b.cat, &mut b.fused);
-        self.cls_head.forward_into(store, &b.fused, &mut b.cls);
-        kernels::map_inplace(b.cls.as_mut_slice(), stable_sigmoid);
-        self.reg_head.forward_into(store, &b.fused, &mut b.reg);
-
-        Prediction { cls_prob: b.cls.clone(), reg: b.reg.clone() }
+        CongestionModel::predict(self, ops, features)
     }
 
     /// A content fingerprint over the architecture and every weight
@@ -451,22 +305,6 @@ impl CongestionModel for HybridNet {
         HybridNet::forward(self, tape, ops, features)
     }
 
-    fn new_scratch(&self) -> Box<dyn ModelScratch> {
-        Box::new(HybridScratch::new())
-    }
-
-    fn predict_with(
-        &self,
-        ops: &GraphOps,
-        features: &FeatureSet,
-        scratch: &mut dyn ModelScratch,
-    ) -> Prediction {
-        match scratch.as_any_mut().downcast_mut::<HybridScratch>() {
-            Some(s) => self.predict_into(ops, features, s),
-            None => self.predict_into(ops, features, &mut HybridScratch::new()),
-        }
-    }
-
     fn new_activation_cache(
         &self,
         weights_version: u64,
@@ -481,27 +319,23 @@ impl CongestionModel for HybridNet {
     }
 }
 
-/// Per-geometry-block cached activations.
+/// Per-geometry-block cached activations: the aggregation input and the
+/// block output.
 struct GeoActs {
     h: Matrix,
-    msg: Matrix,
-    lin_out: Matrix,
     v: Matrix,
 }
 
-/// Per-topology-round cached activations.
+/// Per-topology-round cached activations: both aggregation inputs and
+/// the round output.
 struct TopoActs {
     hc: Matrix,
-    m_n: Matrix,
     hn: Matrix,
-    m_c: Matrix,
-    lin_out: Matrix,
     v: Matrix,
 }
 
-/// Every intermediate tensor of one HybridNet forward, cached full-size
-/// for [`crate::IncrementalForward`] — same superset-row invariant as
-/// LHNN's cache (see [`ActivationCache`]).
+/// One HybridNet forward's activation cache — same layout rules and
+/// superset-row invariant as LHNN's (see [`ActivationCache`]).
 pub(crate) struct HybridActs {
     weights_version: u64,
     ops_fp: u64,
@@ -512,17 +346,19 @@ pub(crate) struct HybridActs {
     g0: Matrix,
     geo: Vec<GeoActs>,
     t_n: Matrix,
-    agg_t: Matrix,
     t0: Matrix,
     topo: Vec<TopoActs>,
-    cat: Matrix,
-    fused: Matrix,
-    cls_logits: Matrix,
     cls_prob: Matrix,
     reg: Matrix,
-    // ResBlock scratch (wholly written/read within one block call).
+    // Row-local temporaries (each step writes and reads them at the same
+    // row list, so they carry nothing across steps or refreshes).
+    msg_c: Matrix,
+    tmp_c: Matrix,
+    cat: Matrix,
+    logits: Matrix,
     sc_c: Matrix,
     sy_c: Matrix,
+    msg_n: Matrix,
     sc_n: Matrix,
     sy_n: Matrix,
     // Full row lists for the refresh path (kept allocated).
@@ -544,29 +380,19 @@ impl HybridActs {
             n_n,
             hidden: h,
             g0: zc(),
-            geo: (0..model.geo.len())
-                .map(|_| GeoActs { h: zc(), msg: zc(), lin_out: zc(), v: zc() })
-                .collect(),
+            geo: (0..model.geo.len()).map(|_| GeoActs { h: zc(), v: zc() }).collect(),
             t_n: zn(),
-            agg_t: zc(),
             t0: zc(),
-            topo: (0..model.topo.len())
-                .map(|_| TopoActs {
-                    hc: zc(),
-                    m_n: zn(),
-                    hn: zn(),
-                    m_c: zc(),
-                    lin_out: zc(),
-                    v: zc(),
-                })
-                .collect(),
-            cat: Matrix::zeros(n_c, 2 * h),
-            fused: zc(),
-            cls_logits: Matrix::zeros(n_c, ch),
+            topo: (0..model.topo.len()).map(|_| TopoActs { hc: zc(), hn: zn(), v: zc() }).collect(),
             cls_prob: Matrix::zeros(n_c, ch),
             reg: Matrix::zeros(n_c, ch),
+            msg_c: zc(),
+            tmp_c: zc(),
+            cat: Matrix::zeros(n_c, 2 * h),
+            logits: Matrix::zeros(n_c, ch),
             sc_c: zc(),
             sy_c: zc(),
+            msg_n: zn(),
             sc_n: zn(),
             sy_n: zn(),
             all_c: (0..n_c).collect(),
@@ -598,16 +424,17 @@ fn refresh(
         g0,
         geo,
         t_n,
-        agg_t,
         t0,
         topo,
-        cat,
-        fused,
-        cls_logits,
         cls_prob,
         reg,
+        msg_c,
+        tmp_c,
+        cat,
+        logits,
         sc_c,
         sy_c,
+        msg_n,
         sc_n,
         sy_n,
         ..
@@ -623,10 +450,11 @@ fn refresh(
         if grow {
             dc = dilate_t.time(|| halo::grow(&ops.lattice_mean, &dc, &dc));
         }
-        kernels::spmm_rows_into(&ops.lattice_mean, &la.h, &dc, la.msg.as_mut_slice());
-        blk.lin.forward_rows_into(store, &la.msg, &dc, &mut la.lin_out);
+        kernels::spmm_rows_into(&ops.lattice_mean, &la.h, &dc, msg_c.as_mut_slice());
+        blk.lin.forward_rows_into(store, msg_c, &dc, tmp_c);
+        // g ← lin_out + g (operand order of `tape.add(out, g)`)
         kernels::zip_rows_into(
-            la.lin_out.as_slice(),
+            tmp_c.as_slice(),
             pg.as_slice(),
             &dc,
             h,
@@ -641,8 +469,8 @@ fn refresh(
     if grow {
         dc = dilate_t.time(|| halo::grow(&ops.gnc_mean, &dn, &dc));
     }
-    kernels::spmm_rows_into(&ops.gnc_mean, t_n, &dc, agg_t.as_mut_slice());
-    model.topo_in.forward_rows_into(store, agg_t, &dc, t0);
+    kernels::spmm_rows_into(&ops.gnc_mean, t_n, &dc, msg_c.as_mut_slice());
+    model.topo_in.forward_rows_into(store, msg_c, &dc, t0);
     for (i, round) in model.topo.iter().enumerate() {
         let (done, rest) = topo.split_at_mut(i);
         let la = &mut rest[0];
@@ -651,15 +479,16 @@ fn refresh(
         if grow {
             dn = dilate_t.time(|| halo::grow(&ops.gcn_mean, &dc, &dn));
         }
-        kernels::spmm_rows_into(&ops.gcn_mean, &la.hc, &dn, la.m_n.as_mut_slice());
-        round.lin_n.forward_rows_into(store, &la.m_n, &dn, &mut la.hn);
+        kernels::spmm_rows_into(&ops.gcn_mean, &la.hc, &dn, msg_n.as_mut_slice());
+        round.lin_n.forward_rows_into(store, msg_n, &dn, &mut la.hn);
         if grow {
             dc = dilate_t.time(|| halo::grow(&ops.gnc_mean, &dn, &dc));
         }
-        kernels::spmm_rows_into(&ops.gnc_mean, &la.hn, &dc, la.m_c.as_mut_slice());
-        round.lin_c.forward_rows_into(store, &la.m_c, &dc, &mut la.lin_out);
+        kernels::spmm_rows_into(&ops.gnc_mean, &la.hn, &dc, msg_c.as_mut_slice());
+        round.lin_c.forward_rows_into(store, msg_c, &dc, tmp_c);
+        // t ← upd + t (operand order of `tape.add(upd, t)`)
         kernels::zip_rows_into(
-            la.lin_out.as_slice(),
+            tmp_c.as_slice(),
             pt.as_slice(),
             &dc,
             h,
@@ -671,10 +500,10 @@ fn refresh(
 
     // ---- Late fusion + heads (row-local) ----
     kernels::concat_rows_into(final_g, final_t, &dc, cat.as_mut_slice());
-    model.fuse.forward_rows_into(store, cat, &dc, fused);
-    model.cls_head.forward_rows_into(store, fused, &dc, cls_logits);
-    kernels::map_rows_into(cls_logits.as_slice(), &dc, ch, cls_prob.as_mut_slice(), stable_sigmoid);
-    model.reg_head.forward_rows_into(store, fused, &dc, reg);
+    model.fuse.forward_rows_into(store, cat, &dc, tmp_c);
+    model.cls_head.forward_rows_into(store, tmp_c, &dc, logits);
+    kernels::map_rows_into(logits.as_slice(), &dc, ch, cls_prob.as_mut_slice(), stable_sigmoid);
+    model.reg_head.forward_rows_into(store, tmp_c, &dc, reg);
     (dc, dn)
 }
 
@@ -708,14 +537,23 @@ impl ActivationCache for HybridActs {
         Prediction { cls_prob: self.cls_prob.clone(), reg: self.reg.clone() }
     }
 
+    fn fits(&self, model: &dyn Any, n_c: usize, n_n: usize) -> bool {
+        model.downcast_ref::<HybridNet>().is_some_and(|m| {
+            (self.n_c, self.n_n, self.hidden) == (n_c, n_n, m.cfg.hidden)
+                && self.cls_prob.cols() == m.cfg.channel_mode.channels()
+                && self.geo.len() == m.geo.len()
+                && self.topo.len() == m.topo.len()
+        })
+    }
+
     fn grow_gnet_rows(&mut self, n_n: usize) {
         let h = self.hidden;
         widen_rows(&mut self.t_n, n_n, h);
-        widen_rows(&mut self.sc_n, n_n, h);
-        widen_rows(&mut self.sy_n, n_n, h);
         for la in &mut self.topo {
-            widen_rows(&mut la.m_n, n_n, h);
             widen_rows(&mut la.hn, n_n, h);
+        }
+        for temp in [&mut self.msg_n, &mut self.sc_n, &mut self.sy_n] {
+            *temp = Matrix::zeros(n_n, h);
         }
         self.all_n.extend(self.n_n..n_n);
         self.n_n = n_n;
@@ -723,13 +561,12 @@ impl ActivationCache for HybridActs {
 
     fn refresh_full(
         &mut self,
-        model: &dyn CongestionModel,
+        model: &dyn Any,
         ops: &GraphOps,
         features: &FeatureSet,
         timer: &mut DilateTimer,
     ) {
         let model = model
-            .as_any()
             .downcast_ref::<HybridNet>()
             .expect("hybridnet activation cache refreshed by a non-hybridnet model");
         let dc = std::mem::take(&mut self.all_c);
@@ -741,7 +578,7 @@ impl ActivationCache for HybridActs {
 
     fn refresh_splice(
         &mut self,
-        model: &dyn CongestionModel,
+        model: &dyn Any,
         ops: &GraphOps,
         features: &FeatureSet,
         dirty_gcells: Vec<usize>,
@@ -749,7 +586,6 @@ impl ActivationCache for HybridActs {
         timer: &mut DilateTimer,
     ) -> (usize, usize) {
         let model = model
-            .as_any()
             .downcast_ref::<HybridNet>()
             .expect("hybridnet activation cache spliced by a non-hybridnet model");
         let (dc, dn) = refresh(self, model, ops, features, dirty_gcells, dirty_gnets, true, timer);
@@ -809,9 +645,9 @@ mod tests {
         let (ops, feats) = sample();
         let model = HybridNet::new(HybridNetConfig::default(), 3);
         let direct = model.predict(&ops, &feats);
-        let mut scratch = HybridScratch::new();
+        let mut scratch = model.new_scratch();
         for _ in 0..3 {
-            let again = model.predict_into(&ops, &feats, &mut scratch);
+            let again = model.predict_with(&ops, &feats, scratch.as_mut());
             assert!(direct.cls_prob.approx_eq(&again.cls_prob, 0.0));
             assert!(direct.reg.approx_eq(&again.reg, 0.0));
         }

@@ -9,9 +9,10 @@
 //! G-nets can only influence rows inside a ≤5-hop halo of that set (with
 //! the default 2 HyperMP + 3 LatticeMP stack).
 //!
-//! [`IncrementalForward`] exploits this: it caches every intermediate
-//! activation of the last forward, dilates the pipeline's dirty sets
-//! through the operators' sparsity patterns layer by layer
+//! [`IncrementalForward`] exploits this: it caches the activations of the
+//! last forward that a later splice reads outside the rows it recomputes
+//! (sparse-aggregation inputs and block outputs), dilates the pipeline's
+//! dirty sets through the operators' sparsity patterns layer by layer
 //! ([`lh_graph::halo`]), recomputes only halo rows with the masked
 //! row-subset kernels in [`neurograd::kernels`], and splices the result
 //! into the cached state.
@@ -54,9 +55,11 @@
 //!
 //! A forward that observes unknown provenance (no cached state, a
 //! structural note, a weights hot-swap, or dimension changes) falls back
-//! to a full refresh through the same row-subset kernels — which is
-//! itself bitwise identical to the tape forward in [`crate::Lhnn`].
+//! to a full refresh through the same row-subset kernels — the same
+//! refresh [`CongestionModel::predict_with`] serves stateless predicts
+//! with, and bitwise identical to the tape forward in [`crate::Lhnn`].
 
+use std::any::Any;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -69,18 +72,24 @@ use crate::congestion::CongestionModel;
 use crate::model::{LatticeMpBlock, Lhnn, Prediction};
 use crate::ops::GraphOps;
 
-/// The per-model activation cache behind [`IncrementalForward`]: every
-/// intermediate tensor of the last forward, full-size, plus masked
-/// row-subset refresh paths over them.
+/// The per-model activation cache behind [`IncrementalForward`] and
+/// [`CongestionModel::predict_with`], plus masked row-subset refresh
+/// paths over it.
+///
+/// A cache keeps full-size every tensor a splice reads outside the rows
+/// it recomputes: the inputs of each sparse aggregation, every block
+/// output and the served outputs. Row-local intermediates (messages,
+/// concatenations, pre-sum branches, logits) live in shared per-side
+/// temporaries that each step writes and reads at the same row list.
 ///
 /// Implementations are produced by their own architecture's
 /// [`CongestionModel::new_activation_cache`] and are only ever refreshed
-/// by a model whose `kind()` and `weights_fingerprint()` match the cache
-/// (the [`IncrementalForward`] paths guard this), so they may downcast
-/// the model they are handed.
+/// by a model of that kind (the [`IncrementalForward`] paths and
+/// [`ActivationCache::fits`] guard this). Refreshes receive the model as
+/// [`CongestionModel::as_any`] and downcast it to their own architecture.
 ///
 /// Invariant every implementation must keep: after each refresh (full or
-/// spliced), every cached tensor equals its full-forward value at
+/// spliced), every full-size tensor equals its full-forward value at
 /// **every** row — refreshes recompute a superset of the truly-dirty
 /// rows and leave the rest untouched, and each output row is an
 /// independent fixed float sequence, so splices stay bitwise identical
@@ -108,6 +117,11 @@ pub trait ActivationCache: Send {
     /// The cached prediction (clones the output tensors).
     fn cached_prediction(&self) -> Prediction;
 
+    /// Whether this cache is laid out for `model` (an
+    /// [`CongestionModel::as_any`] view) at `(n_c, n_n)`: same kind,
+    /// hidden width, channel count and block counts.
+    fn fits(&self, model: &dyn Any, n_c: usize, n_n: usize) -> bool;
+
     /// Widens every G-net-dimensioned tensor to `n_n` rows in place
     /// (stable columns only ever append at the end, so existing rows
     /// keep their cached values row-for-row; new rows are zeroed and
@@ -117,7 +131,7 @@ pub trait ActivationCache: Send {
     /// Recomputes every row through the masked row-subset kernels.
     fn refresh_full(
         &mut self,
-        model: &dyn CongestionModel,
+        model: &dyn Any,
         ops: &GraphOps,
         features: &FeatureSet,
         timer: &mut DilateTimer,
@@ -128,7 +142,7 @@ pub trait ActivationCache: Send {
     /// cached state. Returns the final `(gcell, gnet)` halo sizes.
     fn refresh_splice(
         &mut self,
-        model: &dyn CongestionModel,
+        model: &dyn Any,
         ops: &GraphOps,
         features: &FeatureSet,
         dirty_gcells: Vec<usize>,
@@ -251,9 +265,10 @@ pub struct IncrementalStats {
 /// which keeps the hot path free of even relaxed loads).
 ///
 /// The stage split follows the predict span hierarchy: `dilate` is the
-/// time spent growing dirty sets through operator transposes, `forward`
-/// the masked row-subset recompute (total refresh minus dilation), and
-/// `splice` the assembly of the served prediction from the cached state.
+/// time spent growing dirty sets by sweeping each aggregating operator's
+/// own rows ([`lh_graph::halo::grow`]), `forward` the masked row-subset
+/// recompute (total refresh minus dilation), and `splice` the assembly
+/// of the served prediction from the cached state.
 struct IncrObs {
     dilate: Histogram,
     forward: Histogram,
@@ -325,38 +340,43 @@ impl DilateTimer {
     }
 }
 
-/// Per-HyperMP-block cached activations (one tensor per forward step).
+/// Per-HyperMP-block cached activations: both aggregation inputs and
+/// both block outputs.
 struct HyperActs {
     hc: Matrix,
-    msg_n: Matrix,
-    cat_n: Matrix,
-    fused_n: Matrix,
-    prev_n: Matrix,
     v_n: Matrix,
     hn: Matrix,
-    msg_c: Matrix,
-    cat_c: Matrix,
-    fused_c: Matrix,
-    prev_c: Matrix,
     v_c: Matrix,
 }
 
-/// Per-LatticeMP-block cached activations.
+/// Per-LatticeMP-block cached activations: the aggregation input and the
+/// block output.
 struct LatticeActs {
     h: Matrix,
-    msg: Matrix,
-    lin_out: Matrix,
     v_c: Matrix,
 }
 
-/// Every intermediate tensor of one LHNN forward, cached full-size.
-///
-/// Invariant: after each refresh (full or spliced), every tensor equals
-/// its full-forward value at **every** row — refreshes recompute a
-/// superset of the truly-dirty rows and leave the rest untouched. The
-/// `sc_*`/`sy_*` matrices are ResBlock-internal scratch, wholly written
-/// and read at identical row lists within one block call, so they carry
-/// no cross-forward state.
+/// Row-local temporaries of one node side (G-cells or G-nets), shared by
+/// every step of a refresh: each step writes and reads them at the same
+/// row list, so they carry nothing from one step or refresh to the next.
+struct SideTemps {
+    msg: Matrix,
+    cat: Matrix,
+    tmp: Matrix,
+    prev: Matrix,
+    // ResBlock scratch.
+    sc: Matrix,
+    sy: Matrix,
+}
+
+impl SideTemps {
+    fn new(rows: usize, h: usize) -> Self {
+        let z = || Matrix::zeros(rows, h);
+        Self { msg: z(), cat: Matrix::zeros(rows, 2 * h), tmp: z(), prev: z(), sc: z(), sy: z() }
+    }
+}
+
+/// One LHNN forward's activation cache (see [`ActivationCache`]).
 pub(crate) struct ActivationState {
     weights_version: u64,
     ops_fp: u64,
@@ -365,23 +385,17 @@ pub(crate) struct ActivationState {
     n_n: usize,
     hidden: usize,
     // FeatureGen
-    fc: Matrix,
     fn_: Matrix,
-    agg: Matrix,
-    cat: Matrix,
     v_c1: Matrix,
     v_n1: Matrix,
     hyper: Vec<HyperActs>,
     /// Encode layers followed by joint layers.
     lattice: Vec<LatticeActs>,
-    cls_logits: Matrix,
     cls_prob: Matrix,
     reg: Matrix,
-    // ResBlock scratch
-    sc_c: Matrix,
-    sy_c: Matrix,
-    sc_n: Matrix,
-    sy_n: Matrix,
+    tc: SideTemps,
+    tn: SideTemps,
+    logits: Matrix,
     // Full row lists for the refresh path (kept allocated).
     all_c: Vec<usize>,
     all_n: Vec<usize>,
@@ -400,38 +414,20 @@ impl ActivationState {
             n_c,
             n_n,
             hidden: h,
-            fc: zc(),
             fn_: zn(),
-            agg: zc(),
-            cat: Matrix::zeros(n_c, 2 * h),
             v_c1: zc(),
             v_n1: zn(),
             hyper: (0..model.hypermp.len())
-                .map(|_| HyperActs {
-                    hc: zc(),
-                    msg_n: zn(),
-                    cat_n: Matrix::zeros(n_n, 2 * h),
-                    fused_n: zn(),
-                    prev_n: zn(),
-                    v_n: zn(),
-                    hn: zn(),
-                    msg_c: zc(),
-                    cat_c: Matrix::zeros(n_c, 2 * h),
-                    fused_c: zc(),
-                    prev_c: zc(),
-                    v_c: zc(),
-                })
+                .map(|_| HyperActs { hc: zc(), v_n: zn(), hn: zn(), v_c: zc() })
                 .collect(),
             lattice: (0..model.lattice_encode.len() + model.lattice_joint.len())
-                .map(|_| LatticeActs { h: zc(), msg: zc(), lin_out: zc(), v_c: zc() })
+                .map(|_| LatticeActs { h: zc(), v_c: zc() })
                 .collect(),
-            cls_logits: Matrix::zeros(n_c, ch),
             cls_prob: Matrix::zeros(n_c, ch),
             reg: Matrix::zeros(n_c, ch),
-            sc_c: zc(),
-            sy_c: zc(),
-            sc_n: zn(),
-            sy_n: zn(),
+            tc: SideTemps::new(n_c, h),
+            tn: SideTemps::new(n_n, h),
+            logits: Matrix::zeros(n_c, ch),
             all_c: (0..n_c).collect(),
             all_n: (0..n_n).collect(),
         }
@@ -455,35 +451,19 @@ fn refresh(
     let h = model.cfg.hidden;
     let ch = model.cfg.channel_mode.channels();
     let store = &model.store;
-    let ActivationState {
-        fc,
-        fn_,
-        agg,
-        cat,
-        v_c1,
-        v_n1,
-        hyper,
-        lattice,
-        cls_logits,
-        cls_prob,
-        reg,
-        sc_c,
-        sy_c,
-        sc_n,
-        sy_n,
-        ..
-    } = st;
+    let ActivationState { fn_, v_c1, v_n1, hyper, lattice, cls_prob, reg, tc, tn, logits, .. } = st;
 
     // ---- FeatureGen (Eq. 1–2): one H hop from G-nets onto G-cells ----
     if grow {
         dc = dilate_t.time(|| halo::grow(&ops.gnc_sum, &dn, &dc));
     }
-    model.featuregen.f_n.forward_rows_into(store, &features.gnet, &dn, sc_n, sy_n, fn_);
-    model.featuregen.f_c.forward_rows_into(store, &features.gcell, &dc, sc_c, sy_c, fc);
-    kernels::spmm_rows_into(&ops.gnc_sum, fn_, &dc, agg.as_mut_slice());
-    kernels::concat_rows_into(fc, agg, &dc, cat.as_mut_slice());
-    model.featuregen.phi_c.forward_rows_into(store, cat, &dc, v_c1);
-    model.featuregen.phi_n.forward_rows_into(store, fn_, &dn, v_n1);
+    let fg = &model.featuregen;
+    fg.f_n.forward_rows_into(store, &features.gnet, &dn, &mut tn.sc, &mut tn.sy, fn_);
+    fg.f_c.forward_rows_into(store, &features.gcell, &dc, &mut tc.sc, &mut tc.sy, &mut tc.tmp);
+    kernels::spmm_rows_into(&ops.gnc_sum, fn_, &dc, tc.msg.as_mut_slice());
+    kernels::concat_rows_into(&tc.tmp, &tc.msg, &dc, tc.cat.as_mut_slice());
+    fg.phi_c.forward_rows_into(store, &tc.cat, &dc, v_c1);
+    fg.phi_n.forward_rows_into(store, fn_, &dn, v_n1);
 
     // ---- HyperMP: a B⁻¹Hᵀ hop then a D⁻¹H hop per block ----
     for (i, block) in model.hypermp.iter().enumerate() {
@@ -491,38 +471,26 @@ fn refresh(
         let la = &mut rest[0];
         let (pc, pn): (&Matrix, &Matrix) =
             if i == 0 { (v_c1, v_n1) } else { (&done[i - 1].v_c, &done[i - 1].v_n) };
-        block.res_c_in.forward_rows_into(store, pc, &dc, sc_c, sy_c, &mut la.hc);
+        block.res_c_in.forward_rows_into(store, pc, &dc, &mut tc.sc, &mut tc.sy, &mut la.hc);
         if grow {
             dn = dilate_t.time(|| halo::grow(&ops.gcn_mean, &dc, &dn));
         }
-        kernels::spmm_rows_into(&ops.gcn_mean, &la.hc, &dn, la.msg_n.as_mut_slice());
-        kernels::concat_rows_into(&la.msg_n, v_n1, &dn, la.cat_n.as_mut_slice());
-        block.fuse_n.forward_rows_into(store, &la.cat_n, &dn, &mut la.fused_n);
-        block.res_n_prev.forward_rows_into(store, pn, &dn, sc_n, sy_n, &mut la.prev_n);
-        kernels::zip_rows_into(
-            la.fused_n.as_slice(),
-            la.prev_n.as_slice(),
-            &dn,
-            h,
-            la.v_n.as_mut_slice(),
-            |x, y| x + y,
-        );
-        block.res_n_in.forward_rows_into(store, &la.v_n, &dn, sc_n, sy_n, &mut la.hn);
+        kernels::spmm_rows_into(&ops.gcn_mean, &la.hc, &dn, tn.msg.as_mut_slice());
+        kernels::concat_rows_into(&tn.msg, v_n1, &dn, tn.cat.as_mut_slice());
+        block.fuse_n.forward_rows_into(store, &tn.cat, &dn, &mut tn.tmp);
+        block.res_n_prev.forward_rows_into(store, pn, &dn, &mut tn.sc, &mut tn.sy, &mut tn.prev);
+        let (fused_n, prev_n) = (tn.tmp.as_slice(), tn.prev.as_slice());
+        kernels::zip_rows_into(fused_n, prev_n, &dn, h, la.v_n.as_mut_slice(), |x, y| x + y);
+        block.res_n_in.forward_rows_into(store, &la.v_n, &dn, &mut tn.sc, &mut tn.sy, &mut la.hn);
         if grow {
             dc = dilate_t.time(|| halo::grow(&ops.gnc_mean, &dn, &dc));
         }
-        kernels::spmm_rows_into(&ops.gnc_mean, &la.hn, &dc, la.msg_c.as_mut_slice());
-        kernels::concat_rows_into(&la.msg_c, v_c1, &dc, la.cat_c.as_mut_slice());
-        block.fuse_c.forward_rows_into(store, &la.cat_c, &dc, &mut la.fused_c);
-        block.res_c_prev.forward_rows_into(store, pc, &dc, sc_c, sy_c, &mut la.prev_c);
-        kernels::zip_rows_into(
-            la.fused_c.as_slice(),
-            la.prev_c.as_slice(),
-            &dc,
-            h,
-            la.v_c.as_mut_slice(),
-            |x, y| x + y,
-        );
+        kernels::spmm_rows_into(&ops.gnc_mean, &la.hn, &dc, tc.msg.as_mut_slice());
+        kernels::concat_rows_into(&tc.msg, v_c1, &dc, tc.cat.as_mut_slice());
+        block.fuse_c.forward_rows_into(store, &tc.cat, &dc, &mut tc.tmp);
+        block.res_c_prev.forward_rows_into(store, pc, &dc, &mut tc.sc, &mut tc.sy, &mut tc.prev);
+        let (fused_c, prev_c) = (tc.tmp.as_slice(), tc.prev.as_slice());
+        kernels::zip_rows_into(fused_c, prev_c, &dc, h, la.v_c.as_mut_slice(), |x, y| x + y);
     }
     let last_hyper_c: &Matrix = if let Some(l) = hyper.last() { &l.v_c } else { v_c1 };
 
@@ -534,26 +502,21 @@ fn refresh(
         let (done, rest) = lattice.split_at_mut(i);
         let la = &mut rest[0];
         let pc: &Matrix = if i == 0 { last_hyper_c } else { &done[i - 1].v_c };
-        block.res.forward_rows_into(store, pc, &dc, sc_c, sy_c, &mut la.h);
+        block.res.forward_rows_into(store, pc, &dc, &mut tc.sc, &mut tc.sy, &mut la.h);
         if grow {
             dc = dilate_t.time(|| halo::grow(&ops.lattice_mean, &dc, &dc));
         }
-        kernels::spmm_rows_into(&ops.lattice_mean, &la.h, &dc, la.msg.as_mut_slice());
-        block.lin.forward_rows_into(store, &la.msg, &dc, &mut la.lin_out);
-        kernels::zip_rows_into(
-            la.lin_out.as_slice(),
-            pc.as_slice(),
-            &dc,
-            h,
-            la.v_c.as_mut_slice(),
-            |x, y| x + y,
-        );
+        kernels::spmm_rows_into(&ops.lattice_mean, &la.h, &dc, tc.msg.as_mut_slice());
+        block.lin.forward_rows_into(store, &tc.msg, &dc, &mut tc.tmp);
+        // skip connection, `tape.add(out, v_c)`
+        let lin_out = tc.tmp.as_slice();
+        kernels::zip_rows_into(lin_out, pc.as_slice(), &dc, h, la.v_c.as_mut_slice(), |x, y| x + y);
     }
     let final_c: &Matrix = if let Some(l) = lattice.last() { &l.v_c } else { last_hyper_c };
 
     // ---- Heads (row-local) ----
-    model.cls_head.forward_rows_into(store, final_c, &dc, cls_logits);
-    kernels::map_rows_into(cls_logits.as_slice(), &dc, ch, cls_prob.as_mut_slice(), stable_sigmoid);
+    model.cls_head.forward_rows_into(store, final_c, &dc, logits);
+    kernels::map_rows_into(logits.as_slice(), &dc, ch, cls_prob.as_mut_slice(), stable_sigmoid);
     model.reg_head.forward_rows_into(store, final_c, &dc, reg);
     (dc, dn)
 }
@@ -598,33 +561,36 @@ impl ActivationCache for ActivationState {
         Prediction { cls_prob: self.cls_prob.clone(), reg: self.reg.clone() }
     }
 
+    fn fits(&self, model: &dyn Any, n_c: usize, n_n: usize) -> bool {
+        model.downcast_ref::<Lhnn>().is_some_and(|m| {
+            (self.n_c, self.n_n, self.hidden) == (n_c, n_n, m.cfg.hidden)
+                && self.cls_prob.cols() == m.cfg.channel_mode.channels()
+                && self.hyper.len() == m.hypermp.len()
+                && self.lattice.len() == m.lattice_encode.len() + m.lattice_joint.len()
+        })
+    }
+
     fn grow_gnet_rows(&mut self, n_n: usize) {
         let h = self.hidden;
         widen_rows(&mut self.fn_, n_n, h);
         widen_rows(&mut self.v_n1, n_n, h);
-        widen_rows(&mut self.sc_n, n_n, h);
-        widen_rows(&mut self.sy_n, n_n, h);
         for la in &mut self.hyper {
-            widen_rows(&mut la.msg_n, n_n, h);
-            widen_rows(&mut la.cat_n, n_n, 2 * h);
-            widen_rows(&mut la.fused_n, n_n, h);
-            widen_rows(&mut la.prev_n, n_n, h);
             widen_rows(&mut la.v_n, n_n, h);
             widen_rows(&mut la.hn, n_n, h);
         }
+        self.tn = SideTemps::new(n_n, h);
         self.all_n.extend(self.n_n..n_n);
         self.n_n = n_n;
     }
 
     fn refresh_full(
         &mut self,
-        model: &dyn CongestionModel,
+        model: &dyn Any,
         ops: &GraphOps,
         features: &FeatureSet,
         timer: &mut DilateTimer,
     ) {
         let model = model
-            .as_any()
             .downcast_ref::<Lhnn>()
             .expect("lhnn activation cache refreshed by a non-lhnn model");
         let dc = std::mem::take(&mut self.all_c);
@@ -636,7 +602,7 @@ impl ActivationCache for ActivationState {
 
     fn refresh_splice(
         &mut self,
-        model: &dyn CongestionModel,
+        model: &dyn Any,
         ops: &GraphOps,
         features: &FeatureSet,
         dirty_gcells: Vec<usize>,
@@ -644,7 +610,6 @@ impl ActivationCache for ActivationState {
         timer: &mut DilateTimer,
     ) -> (usize, usize) {
         let model = model
-            .as_any()
             .downcast_ref::<Lhnn>()
             .expect("lhnn activation cache spliced by a non-lhnn model");
         let (dc, dn) = refresh(self, model, ops, features, dirty_gcells, dirty_gnets, true, timer);
@@ -781,7 +746,7 @@ impl IncrementalForward {
     /// `(ops, features)` snapshot was taken.
     ///
     /// Returns the prediction — bitwise identical to the model's own
-    /// fused `predict` on the same inputs — and the path taken.
+    /// stateless `predict` on the same inputs — and the path taken.
     pub fn predict(
         &self,
         model: &dyn CongestionModel,
@@ -850,8 +815,14 @@ impl IncrementalForward {
                 st.grow_gnet_rows(n_n);
                 dn0 = union_sorted(&dn0, &appended);
             }
-            let (gcell_rows, gnet_rows) =
-                st.refresh_splice(model, ops, features, d.gcells.clone(), dn0, &mut dilate_t);
+            let (gcell_rows, gnet_rows) = st.refresh_splice(
+                model.as_any(),
+                ops,
+                features,
+                d.gcells.clone(),
+                dn0,
+                &mut dilate_t,
+            );
             let outcome = SpliceOutcome::Spliced { gcell_rows, gnet_rows };
             (st, outcome)
         } else {
@@ -868,7 +839,7 @@ impl IncrementalForward {
                 }
                 _ => model.new_activation_cache(model_version, n_c, n_n),
             };
-            st.refresh_full(model, ops, features, &mut dilate_t);
+            st.refresh_full(model.as_any(), ops, features, &mut dilate_t);
             (st, SpliceOutcome::Full)
         };
         if let (Some(o), Some(t0)) = (&self.obs, t_refresh) {

@@ -34,13 +34,13 @@ pub mod serialize;
 pub mod trainer;
 
 pub use config::{AblationSpec, LhnnConfig, TrainConfig};
-pub use congestion::{CongestionModel, ModelScratch, ScratchSet};
-pub use hybrid::{HybridNet, HybridNetConfig, HybridScratch};
+pub use congestion::{CongestionModel, InferenceScratch, ScratchSet};
+pub use hybrid::{HybridNet, HybridNetConfig};
 pub use incremental::{
     ActivationCache, ForwardDirty, IncrementalForward, IncrementalStats, InvalidationCause,
     SpliceOutcome,
 };
-pub use model::{InferenceScratch, Lhnn, LhnnOutput, Prediction};
+pub use model::{Lhnn, LhnnOutput, Prediction};
 pub use ops::GraphOps;
 pub use pipeline::{LatticePipeline, PipelineStats, PipelineUpdate, RebuildCause, StalePipeline};
 pub use serialize::{load_model, ModelIoError};

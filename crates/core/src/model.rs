@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::LhnnConfig;
-use crate::congestion::{CongestionModel, ModelScratch};
+use crate::congestion::CongestionModel;
 use crate::incremental::{ActivationCache, ActivationState};
 use crate::ops::GraphOps;
 
@@ -220,142 +220,6 @@ pub struct Prediction {
     pub reg: Matrix,
 }
 
-/// Persistent full-size intermediate buffers for the fused (tape-free)
-/// inference path, sized to one `(n_c, n_n, hidden, channels)` shape.
-///
-/// The fused forward ping-pongs through these instead of allocating tape
-/// nodes: every matrix is wholly overwritten by the kernel that produces
-/// it before anything reads it, so stale contents from the previous
-/// request are never observable.
-#[derive(Debug)]
-struct InferenceBuffers {
-    n_c: usize,
-    n_n: usize,
-    hidden: usize,
-    channels: usize,
-    // FeatureGen outputs (live across the whole forward).
-    fc: Matrix,
-    fn_: Matrix,
-    v_c1: Matrix,
-    v_n1: Matrix,
-    // G-cell-side ping-pong.
-    v_c: Matrix,
-    tmp_c: Matrix,
-    msg_c: Matrix,
-    prev_c: Matrix,
-    cat_c: Matrix,
-    sc_c: Matrix,
-    sy_c: Matrix,
-    // G-net-side ping-pong.
-    v_n: Matrix,
-    tmp_n: Matrix,
-    msg_n: Matrix,
-    prev_n: Matrix,
-    cat_n: Matrix,
-    sc_n: Matrix,
-    sy_n: Matrix,
-    // Heads.
-    cls: Matrix,
-    reg: Matrix,
-}
-
-impl InferenceBuffers {
-    fn new(n_c: usize, n_n: usize, hidden: usize, channels: usize) -> Self {
-        let zc = || Matrix::zeros(n_c, hidden);
-        let zn = || Matrix::zeros(n_n, hidden);
-        Self {
-            n_c,
-            n_n,
-            hidden,
-            channels,
-            fc: zc(),
-            fn_: zn(),
-            v_c1: zc(),
-            v_n1: zn(),
-            v_c: zc(),
-            tmp_c: zc(),
-            msg_c: zc(),
-            prev_c: zc(),
-            cat_c: Matrix::zeros(n_c, 2 * hidden),
-            sc_c: zc(),
-            sy_c: zc(),
-            v_n: zn(),
-            tmp_n: zn(),
-            msg_n: zn(),
-            prev_n: zn(),
-            cat_n: Matrix::zeros(n_n, 2 * hidden),
-            sc_n: zn(),
-            sy_n: zn(),
-            cls: Matrix::zeros(n_c, channels),
-            reg: Matrix::zeros(n_c, channels),
-        }
-    }
-
-    fn elems(&self) -> usize {
-        let m = |x: &Matrix| x.rows() * x.cols();
-        m(&self.fc)
-            + m(&self.fn_)
-            + m(&self.v_c1)
-            + m(&self.v_n1)
-            + m(&self.v_c)
-            + m(&self.tmp_c)
-            + m(&self.msg_c)
-            + m(&self.prev_c)
-            + m(&self.cat_c)
-            + m(&self.sc_c)
-            + m(&self.sy_c)
-            + m(&self.v_n)
-            + m(&self.tmp_n)
-            + m(&self.msg_n)
-            + m(&self.prev_n)
-            + m(&self.cat_n)
-            + m(&self.sc_n)
-            + m(&self.sy_n)
-            + m(&self.cls)
-            + m(&self.reg)
-    }
-}
-
-/// Reusable per-thread scratch state for tape-free inference.
-///
-/// [`Lhnn::predict_into`] runs the fused forward through this scratch's
-/// persistent intermediate buffers, so a long-lived worker thread serves
-/// steady-state requests with **zero** heap allocation (buffers are
-/// rebuilt only when the request shape or model dimensions change). One
-/// scratch belongs to one thread at a time; it is `Send`, so a pool can
-/// move it between workers.
-#[derive(Debug, Default)]
-pub struct InferenceScratch {
-    buffers: Option<InferenceBuffers>,
-}
-
-impl InferenceScratch {
-    /// Creates an empty scratch buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total `f32` elements held by the persistent inference buffers
-    /// (0 before the first forward; capacity diagnostics).
-    pub fn buffer_elems(&self) -> usize {
-        self.buffers.as_ref().map_or(0, InferenceBuffers::elems)
-    }
-
-    /// Returns buffers matching the given shape, rebuilding on mismatch.
-    fn buffers_for(&mut self, model: &Lhnn, n_c: usize, n_n: usize) -> &mut InferenceBuffers {
-        let h = model.cfg.hidden;
-        let ch = model.cfg.channel_mode.channels();
-        let ok = self
-            .buffers
-            .as_ref()
-            .is_some_and(|b| b.n_c == n_c && b.n_n == n_n && b.hidden == h && b.channels == ch);
-        if !ok {
-            self.buffers = Some(InferenceBuffers::new(n_c, n_n, h, ch));
-        }
-        self.buffers.as_mut().expect("buffers just ensured")
-    }
-}
-
 /// The LHNN model: parameters plus architecture.
 #[derive(Debug)]
 pub struct Lhnn {
@@ -457,99 +321,10 @@ impl Lhnn {
         LhnnOutput { cls_logits, reg }
     }
 
-    /// Inference: returns dense probability and regression maps.
+    /// Inference: returns dense probability and regression maps (the
+    /// tape-free [`CongestionModel::predict`]).
     pub fn predict(&self, ops: &GraphOps, features: &FeatureSet) -> Prediction {
-        self.predict_into(ops, features, &mut InferenceScratch::new())
-    }
-
-    /// Inference re-using a caller-owned [`InferenceScratch`]: the fused,
-    /// tape-free forward. This is the hot path of the serving worker pool.
-    ///
-    /// Instead of recording tape nodes, each layer runs one fused
-    /// matmul→bias→activation kernel ([`neurograd::kernels::linear_act_into`])
-    /// into persistent scratch buffers. Bitwise identical to running
-    /// [`Lhnn::forward`] on a tape plus a sigmoid: every fused step
-    /// preserves the per-element operation sequence of its taped
-    /// counterpart (accumulate in `k` order, add bias, apply
-    /// [`Activation::eval`] — the exact float expressions of the tape
-    /// ops), as the `fused_predict_matches_taped_forward` test pins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if feature dimensions disagree with the configuration.
-    pub fn predict_into(
-        &self,
-        ops: &GraphOps,
-        features: &FeatureSet,
-        scratch: &mut InferenceScratch,
-    ) -> Prediction {
-        use neurograd::kernels;
-
-        assert_eq!(features.gcell.cols(), self.cfg.gcell_in_dim, "g-cell feature dim mismatch");
-        assert_eq!(features.gnet.cols(), self.cfg.gnet_in_dim, "g-net feature dim mismatch");
-        let n_c = features.gcell.rows();
-        let n_n = features.gnet.rows();
-        let store = &self.store;
-        let b = scratch.buffers_for(self, n_c, n_n);
-
-        // --- FeatureGen (Eq. 1–2) ---
-        let fg = &self.featuregen;
-        fg.f_c.forward_into(store, &features.gcell, &mut b.sc_c, &mut b.sy_c, &mut b.fc);
-        fg.f_n.forward_into(store, &features.gnet, &mut b.sc_n, &mut b.sy_n, &mut b.fn_);
-        // V_c1 = φ_c( f_c(V_c0) ∥ G_nc f_n(V_n0) ), G_nc = H (sum)
-        kernels::spmm_into(&ops.gnc_sum, &b.fn_, b.msg_c.as_mut_slice());
-        kernels::concat_into(&b.fc, &b.msg_c, b.cat_c.as_mut_slice());
-        fg.phi_c.forward_into(store, &b.cat_c, &mut b.v_c1);
-        // V_n1 = φ_n( f_n(V_n0) )
-        fg.phi_n.forward_into(store, &b.fn_, &mut b.v_n1);
-
-        b.v_c.as_mut_slice().copy_from_slice(b.v_c1.as_slice());
-        b.v_n.as_mut_slice().copy_from_slice(b.v_n1.as_slice());
-
-        // --- HyperMP ---
-        for block in &self.hypermp {
-            // G-cell to G-net.
-            block.res_c_in.forward_into(store, &b.v_c, &mut b.sc_c, &mut b.sy_c, &mut b.tmp_c);
-            kernels::spmm_into(&ops.gcn_mean, &b.tmp_c, b.msg_n.as_mut_slice()); // B⁻¹Hᵀ
-            kernels::concat_into(&b.msg_n, &b.v_n1, b.cat_n.as_mut_slice());
-            block.fuse_n.forward_into(store, &b.cat_n, &mut b.tmp_n);
-            block.res_n_prev.forward_into(store, &b.v_n, &mut b.sc_n, &mut b.sy_n, &mut b.prev_n);
-            // v_n ← fused_n + prev_n (operand order of `tape.add`).
-            kernels::zip_into(
-                b.tmp_n.as_slice(),
-                b.prev_n.as_slice(),
-                b.v_n.as_mut_slice(),
-                |h, p| h + p,
-            );
-            // G-net to G-cell (symmetric, using the updated G-net state).
-            block.res_n_in.forward_into(store, &b.v_n, &mut b.sc_n, &mut b.sy_n, &mut b.tmp_n);
-            kernels::spmm_into(&ops.gnc_mean, &b.tmp_n, b.msg_c.as_mut_slice()); // D⁻¹H
-            kernels::concat_into(&b.msg_c, &b.v_c1, b.cat_c.as_mut_slice());
-            block.fuse_c.forward_into(store, &b.cat_c, &mut b.tmp_c);
-            block.res_c_prev.forward_into(store, &b.v_c, &mut b.sc_c, &mut b.sy_c, &mut b.prev_c);
-            kernels::zip_into(
-                b.tmp_c.as_slice(),
-                b.prev_c.as_slice(),
-                b.v_c.as_mut_slice(),
-                |h, p| h + p,
-            );
-        }
-
-        // --- LatticeMP (encode then joint) ---
-        for block in self.lattice_encode.iter().chain(&self.lattice_joint) {
-            block.res.forward_into(store, &b.v_c, &mut b.sc_c, &mut b.sy_c, &mut b.tmp_c);
-            kernels::spmm_into(&ops.lattice_mean, &b.tmp_c, b.msg_c.as_mut_slice()); // P⁻¹A
-            block.lin.forward_into(store, &b.msg_c, &mut b.prev_c);
-            // v_c ← lin_out + v_c (skip connection, `tape.add(out, v_c)`).
-            kernels::zip_inplace(b.prev_c.as_slice(), b.v_c.as_mut_slice(), |o, v| o + v);
-        }
-
-        // --- Heads ---
-        self.cls_head.forward_into(store, &b.v_c, &mut b.cls);
-        kernels::map_inplace(b.cls.as_mut_slice(), neurograd::stable_sigmoid);
-        self.reg_head.forward_into(store, &b.v_c, &mut b.reg);
-
-        Prediction { cls_prob: b.cls.clone(), reg: b.reg.clone() }
+        CongestionModel::predict(self, ops, features)
     }
 
     /// A content fingerprint over the architecture and every weight tensor.
@@ -571,12 +346,6 @@ impl Lhnn {
             p.value.hash_into(&mut h);
         }
         h.finish()
-    }
-}
-
-impl ModelScratch for InferenceScratch {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -623,22 +392,6 @@ impl CongestionModel for Lhnn {
 
     fn forward(&self, tape: &mut Tape, ops: &GraphOps, features: &FeatureSet) -> LhnnOutput {
         Lhnn::forward(self, tape, ops, features)
-    }
-
-    fn new_scratch(&self) -> Box<dyn ModelScratch> {
-        Box::new(InferenceScratch::new())
-    }
-
-    fn predict_with(
-        &self,
-        ops: &GraphOps,
-        features: &FeatureSet,
-        scratch: &mut dyn ModelScratch,
-    ) -> Prediction {
-        match scratch.as_any_mut().downcast_mut::<InferenceScratch>() {
-            Some(s) => self.predict_into(ops, features, s),
-            None => self.predict_into(ops, features, &mut InferenceScratch::new()),
-        }
     }
 
     fn new_activation_cache(
@@ -701,21 +454,23 @@ mod tests {
         let (ops, feats) = sample();
         let model = Lhnn::new(LhnnConfig::default(), 3);
         let direct = model.predict(&ops, &feats);
-        let mut scratch = InferenceScratch::new();
+        let mut scratch = model.new_scratch();
         for _ in 0..3 {
-            let again = model.predict_into(&ops, &feats, &mut scratch);
+            let again = model.predict_with(&ops, &feats, scratch.as_mut());
             // bitwise equality — tolerance 0.0
             assert!(direct.cls_prob.approx_eq(&again.cls_prob, 0.0));
             assert!(direct.reg.approx_eq(&again.reg, 0.0));
         }
-        assert!(scratch.buffer_elems() > 0);
+        // the scratch keeps its activation cache, shaped to this request
+        let kept = format!("Some((\"lhnn\", {}, {}))", feats.gcell.rows(), feats.gnet.rows());
+        assert!(format!("{scratch:?}").contains(&kept), "{scratch:?}");
     }
 
     #[test]
     fn fused_predict_matches_taped_forward() {
-        // The fused tape-free inference path must stay bitwise identical
-        // to recording the forward on a tape and applying the sigmoid —
-        // the invariant every serving parity pin ultimately rests on.
+        // The tape-free inference path must stay bitwise identical to
+        // recording the forward on a tape and applying the sigmoid — the
+        // invariant every serving parity pin ultimately rests on.
         let (ops, feats) = sample();
         let model = Lhnn::new(LhnnConfig::default(), 5);
         let mut tape = Tape::new();

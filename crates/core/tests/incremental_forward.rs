@@ -22,7 +22,7 @@ use lhnn::{
 use neurograd::{pool, Matrix};
 use proptest::prelude::*;
 use vlsi_netlist::synth::{generate, SynthConfig};
-use vlsi_netlist::{CellId, PlacementDelta, Point};
+use vlsi_netlist::{CellId, NetId, PlacementDelta, Point};
 use vlsi_place::GlobalPlacer;
 
 fn pipeline(seed: u64, n_cells: usize, side: u32) -> LatticePipeline {
@@ -294,4 +294,72 @@ fn small_nudge_takes_the_splice_path() {
         }
     }
     panic!("no cell produced an incremental update");
+}
+
+/// A net the size filter dropped at build time that shrinks back under it
+/// gets a fresh G-net column appended at the end of the column space. The
+/// activation cache must then widen its G-net tensors and temporaries in
+/// place and splice, bitwise equal to a full forward, for both
+/// architectures at 1..3 threads.
+#[test]
+fn entering_nets_append_columns_and_splice_bitwise() {
+    let mut appended_splices = 0;
+    for seed in 0..3u64 {
+        for kind in 0..2 {
+            let mut p = pipeline(seed, 110, 8);
+            let model = build_model(kind, seed);
+            let model = model.as_ref();
+            let version = model.weights_fingerprint();
+            let incr = IncrementalForward::new();
+            incr.predict(model, version, &p.ops(), &p.features(), incr.seq());
+            let circuit = Arc::clone(p.circuit());
+            // dropped nets on movable cells only, so every pin can move
+            let dropped: Vec<NetId> = (0..circuit.nets().len() as u32)
+                .map(NetId)
+                .filter(|&n| p.graph().net_column(n).is_none())
+                .filter(|&n| {
+                    circuit.net(n).pins.iter().all(|pin| !circuit.cell(pin.cell).is_terminal())
+                })
+                .take(3)
+                .collect();
+            for (step, &net) in dropped.iter().enumerate() {
+                if p.graph().net_column(net).is_some() {
+                    continue;
+                }
+                // pile every pin cell of the net onto its first cell
+                let pins = &circuit.net(net).pins;
+                let anchor = p.placement().position(pins[0].cell);
+                let mut delta = PlacementDelta::new();
+                for pin in pins {
+                    delta.push(pin.cell, anchor);
+                }
+                let n_n = p.features().gnet.rows();
+                match p.apply(&delta).expect("apply") {
+                    PipelineUpdate::Incremental { dirty_nets, dirty_gcells } => {
+                        incr.note_incremental(&ForwardDirty::new(dirty_gcells, dirty_nets));
+                    }
+                    PipelineUpdate::FullRebuild { cause } => {
+                        incr.note_structural(InvalidationCause::from(&cause));
+                    }
+                    PipelineUpdate::Noop => {}
+                }
+                let (ops, features) = (p.ops(), p.features());
+                let threads = 1 + step % 3;
+                pool::configure_threads(threads);
+                let (spliced, path) = incr.predict(model, version, &ops, &features, incr.seq());
+                pool::configure_threads(1);
+                let full = model.predict(&ops, &features);
+                assert!(
+                    bitwise_eq(&spliced.cls_prob, &full.cls_prob)
+                        && bitwise_eq(&spliced.reg, &full.reg),
+                    "append splice diverged from the full forward (kind {}, threads {threads})",
+                    model.kind()
+                );
+                if features.gnet.rows() > n_n && matches!(path, SpliceOutcome::Spliced { .. }) {
+                    appended_splices += 1;
+                }
+            }
+        }
+    }
+    assert!(appended_splices > 0, "no entering net appended a column and spliced");
 }

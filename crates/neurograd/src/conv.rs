@@ -177,7 +177,7 @@ pub(crate) fn conv2d_backward(
 /// Panics if `h`/`w` are odd or the input shape is inconsistent.
 pub(crate) fn max_pool2d_forward(input: &Matrix, h: usize, w: usize) -> (Matrix, Vec<usize>) {
     assert_eq!(input.cols(), h * w, "max_pool2d input shape mismatch");
-    assert!(h.is_multiple_of(2) && w.is_multiple_of(2), "max_pool2d requires even h and w");
+    assert!(h % 2 == 0 && w % 2 == 0, "max_pool2d requires even h and w");
     let channels = input.rows();
     let (oh, ow) = (h / 2, w / 2);
     let mut out = Matrix::zeros(channels, oh * ow);

@@ -207,25 +207,6 @@ pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
     });
 }
 
-/// Column concatenation `out[r] = [a[r] | b[r]]` over all rows — the
-/// whole-matrix form of [`concat_rows_into`]. Rows of `out` are
-/// overwritten.
-///
-/// # Panics
-///
-/// Panics if row counts differ or `out` is missized.
-pub fn concat_into(a: &Matrix, b: &Matrix, out: &mut [f32]) {
-    assert_eq!(a.rows(), b.rows(), "concat row mismatch");
-    let (an, bn) = (a.cols(), b.cols());
-    let n = an + bn;
-    assert_eq!(out.len(), a.rows() * n, "concat output buffer mismatch");
-    let (a_data, b_data) = (a.as_slice(), b.as_slice());
-    for_each_row(out, a.rows(), n, n.max(1), |r, out_row| {
-        out_row[..an].copy_from_slice(&a_data[r * an..(r + 1) * an]);
-        out_row[an..].copy_from_slice(&b_data[r * bn..(r + 1) * bn]);
-    });
-}
-
 // ---- sparse kernels ----
 
 /// `out = s · x`, partitioned over the sparse rows. Rows of `out` are
@@ -355,37 +336,6 @@ pub fn linear_act_rows_into(
     let (a_data, w_data) = (a.as_slice(), w.as_slice());
     let eng = simd::active();
     for_each_listed_row(out, rows, n, k * n, |i, out_row| {
-        eng.gemm_row(out_row, &a_data[i * k..(i + 1) * k], w_data);
-        for (o, &bv) in out_row.iter_mut().zip(bias) {
-            *o = act(*o + bv);
-        }
-    });
-}
-
-/// Fused `out = act(a · w + bias)` over the full matrix — the whole-matrix
-/// form of [`linear_act_rows_into`], and the workhorse of the tape-free
-/// inference path. Bitwise identical to matmul → add-bias → map because
-/// each element sees the same operation sequence (accumulate in `k`
-/// order, add bias, apply `act`). Rows of `out` are overwritten.
-///
-/// # Panics
-///
-/// Panics if shapes mismatch or `out` is missized.
-pub fn linear_act_into(
-    a: &Matrix,
-    w: &Matrix,
-    bias: &[f32],
-    out: &mut [f32],
-    act: impl Fn(f32) -> f32 + Sync,
-) {
-    let (m, k) = a.shape();
-    let n = w.cols();
-    assert_eq!(k, w.rows(), "linear shape mismatch: {}x{} * {}x{}", m, k, w.rows(), w.cols());
-    assert_eq!(bias.len(), n, "linear bias length mismatch");
-    assert_eq!(out.len(), m * n, "linear output buffer mismatch");
-    let (a_data, w_data) = (a.as_slice(), w.as_slice());
-    let eng = simd::active();
-    for_each_row(out, m, n, k * n, |i, out_row| {
         eng.gemm_row(out_row, &a_data[i * k..(i + 1) * k], w_data);
         for (o, &bv) in out_row.iter_mut().zip(bias) {
             *o = act(*o + bv);
@@ -544,20 +494,6 @@ pub fn zip_into(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f
         let end = start + chunk.len();
         for ((o, &x), &y) in chunk.iter_mut().zip(&a[start..end]).zip(&b[start..end]) {
             *o = f(x, y);
-        }
-    });
-}
-
-/// `out[i] = f(a[i], out[i])` in place, chunk-partitioned — the
-/// whole-buffer form of [`zip_rows_inplace`], for chains where one
-/// operand is also the destination (residual skips in the fused
-/// inference path). Lengths must match.
-pub fn zip_inplace(a: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32 + Sync) {
-    assert_eq!(a.len(), out.len(), "zip length mismatch");
-    for_each_range(out, |start, chunk| {
-        let end = start + chunk.len();
-        for (o, &x) in chunk.iter_mut().zip(&a[start..end]) {
-            *o = f(x, *o);
         }
     });
 }

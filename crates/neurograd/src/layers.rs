@@ -149,25 +149,6 @@ impl Linear {
             act.eval(v)
         });
     }
-
-    /// Tape-free fused forward over the whole input: `out = act(x·W + b)`
-    /// in one kernel pass, no tape node, no intermediate buffers. Bitwise
-    /// identical to [`Linear::forward`] (the fused kernel preserves the
-    /// per-element operation sequence: accumulate in `k` order, add bias,
-    /// apply the activation via [`Activation::eval`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` does not have `in_dim` columns or `out` is not
-    /// `x.rows() × out_dim`.
-    pub fn forward_into(&self, store: &ParamStore, x: &Matrix, out: &mut Matrix) {
-        assert_eq!(x.cols(), self.in_dim, "linear input dim mismatch");
-        assert_eq!(out.shape(), (x.rows(), self.out_dim), "linear output shape mismatch");
-        let w = &store.param(self.weight).value;
-        let b = store.param(self.bias).value.as_slice();
-        let act = self.activation;
-        crate::kernels::linear_act_into(x, w, b, out.as_mut_slice(), move |v| act.eval(v));
-    }
 }
 
 /// A plain multi-layer perceptron: `in → hidden × (depth-1) → out`.
@@ -334,52 +315,6 @@ impl ResBlock {
                     x.as_slice(),
                     rows,
                     n,
-                    out.as_mut_slice(),
-                    move |h, skip| act.eval(h + skip),
-                );
-            }
-        }
-    }
-
-    /// Tape-free fused forward over the whole input — the whole-matrix
-    /// form of [`ResBlock::forward_rows_into`], bitwise identical to
-    /// [`ResBlock::forward`]. `scratch_h` (`N × hidden`) and `scratch_y`
-    /// (`N × out_dim`) are overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn forward_into(
-        &self,
-        store: &ParamStore,
-        x: &Matrix,
-        scratch_h: &mut Matrix,
-        scratch_y: &mut Matrix,
-        out: &mut Matrix,
-    ) {
-        let n = self.out_dim();
-        assert_eq!(scratch_h.shape(), (x.rows(), self.lin1.out_dim()), "resblock scratch_h shape");
-        assert_eq!(scratch_y.shape(), (x.rows(), n), "resblock scratch_y shape");
-        assert_eq!(out.shape(), (x.rows(), n), "resblock output shape");
-        self.lin1.forward_into(store, x, scratch_h);
-        self.lin2.forward_into(store, scratch_h, scratch_y);
-        let act = self.out_activation;
-        match &self.proj {
-            Some(p) => {
-                // `out` holds the projected skip; fold `h + skip` in place
-                // (same operand order as `tape.add(h, skip)`).
-                p.forward_into(store, x, out);
-                crate::kernels::zip_inplace(
-                    scratch_y.as_slice(),
-                    out.as_mut_slice(),
-                    move |h, skip| act.eval(h + skip),
-                );
-            }
-            None => {
-                assert_eq!(x.cols(), n, "identity skip dim mismatch");
-                crate::kernels::zip_into(
-                    scratch_y.as_slice(),
-                    x.as_slice(),
                     out.as_mut_slice(),
                     move |h, skip| act.eval(h + skip),
                 );

@@ -176,8 +176,9 @@ proptest! {
             prop_assert!(bitwise_eq(got, &want), "matmul_rows row {}", r);
         }
 
-        let mut fused_full = vec![0.0f32; m * n];
-        kernels::linear_act_into(&a, &w, &bias, &mut fused_full, |v| v.max(0.0));
+        let all_rows: Vec<usize> = (0..m).collect();
+        let mut fused_full = vec![-7.0f32; m * n];
+        kernels::linear_act_rows_into(&a, &w, &bias, &all_rows, &mut fused_full, |v| v.max(0.0));
         let mut fused_rows = vec![0.0f32; m * n];
         kernels::linear_act_rows_into(&a, &w, &bias, &rows, &mut fused_rows, |v| v.max(0.0));
         for &r in &rows {

@@ -155,7 +155,7 @@ pub fn route(
     let mut segment_net: Vec<u32> = Vec::new();
     for (ni, net) in circuit.nets().iter().enumerate() {
         let segs = decompose_net(net, placement, grid);
-        segment_net.extend(std::iter::repeat_n(ni as u32, segs.len()));
+        segment_net.extend(std::iter::repeat(ni as u32).take(segs.len()));
         segments.extend(segs);
     }
     let mut paths: Vec<Vec<GcellCoord>> = Vec::with_capacity(segments.len());
